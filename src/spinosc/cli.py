@@ -13,7 +13,7 @@ import sys
 from .metric import ExceptionalPoint
 from .model import ModelParams
 from .spectral import PhaseRegion, block_spectrum, critical_coupling
-from .sweep import SweepSpec, emit, figure_dataset, run_sweep
+from .sweep import SweepSpec, _fmt, emit, run_sweep
 from .thermo import thermo_point
 from .verify import run_checks
 
@@ -21,10 +21,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_UNDEFINED = 3
 EXIT_VERIFY = 4
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
 
 
 def _fmt_complex(value: complex) -> str:
@@ -65,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--subspaces", type=int, nargs="+", default=[0])
     add_sweep_flags(p_sweep)
 
-    p_fig = sub.add_parser("fig", help="dataset behind one observable figure")
-    p_fig.add_argument("--id", type=int, choices=(1, 2, 3), required=True)
+    p_fig = sub.add_parser("fig", help="sweep preset over subspaces 0 1 2 5 for one observable figure")
+    p_fig.add_argument("--id", type=int, choices=(1, 2, 3), required=True, help="1 F, 2 S, 3 Cv; same rows")
     p_fig.add_argument("--subspaces", type=int, nargs="+", default=[0, 1, 2, 5])
     add_sweep_flags(p_fig)
 
@@ -127,21 +123,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fig(args) -> int:
-    spec = SweepSpec(
-        alpha=args.alpha,
-        homega=args.homega,
-        tau=args.tau,
-        subspaces=tuple(args.subspaces),
-        mu_min=args.mu_min,
-        mu_max=args.mu_max,
-        steps=args.steps,
-        ep_window=args.ep_window,
-    )
-    emit(figure_dataset(args.id, spec), format=args.format, destination=args.output)
-    return EXIT_OK
-
-
 def _cmd_verify(args) -> int:
     results = run_checks(alpha=args.alpha, homega=args.homega, cutoff=args.cutoff)
     failed = 0
@@ -163,12 +144,12 @@ def main(argv=None) -> int:
         "spectrum": _cmd_spectrum,
         "thermo": _cmd_thermo,
         "sweep": _cmd_sweep,
-        "fig": _cmd_fig,
+        "fig": _cmd_sweep,
         "verify": _cmd_verify,
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, ExceptionalPoint) as exc:
+    except (ValueError, ExceptionalPoint, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

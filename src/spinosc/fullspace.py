@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
@@ -73,19 +74,12 @@ def assemble_full(params: ModelParams, space: TruncatedSpace) -> np.ndarray:
     )
 
 
-def _pt_image(params: ModelParams, space: TruncatedSpace) -> np.ndarray:
-    # Parity-plus-time-reversal action: sigma -> -sigma (so sigma_+- -> -sigma_-+),
+def _pt_image(h: np.ndarray) -> np.ndarray:
+    # Parity-plus-time-reversal action: sigma -> -sigma is conjugation by
+    # sigma_y on every level (sigma_z -> -sigma_z, sigma_+- -> -sigma_-+),
     # ladder operators fixed, then entrywise complex conjugation.
-    levels = space.cutoff + 1
-    a = _lowering(levels)
-    number = a.conj().T @ a
-    eye_osc = np.eye(levels, dtype=complex)
-    image = (
-        -0.5 * params.alpha * np.kron(eye_osc, _SIGMA_Z)
-        + params.homega * np.kron(number, np.eye(2, dtype=complex))
-        + params.mu * (np.kron(a.conj().T, _SIGMA_PLUS) - np.kron(a, _SIGMA_MINUS))
-    )
-    return image.conj()
+    flip = np.kron(np.eye(h.shape[0] // 2), _SIGMA_Y)
+    return (flip @ h @ flip).conj()
 
 
 def _fock_parity(space: TruncatedSpace) -> np.ndarray:
@@ -122,7 +116,7 @@ def symmetry_report(params: ModelParams, cutoff: int) -> SymmetryReport:
         commutator_residual=float(np.linalg.norm(h @ grading - grading @ h)),
         sigma_z_residual=float(np.linalg.norm(sz @ h @ sz - h_dag)),
         parity_residual=float(np.linalg.norm(parity @ h @ parity - h_dag)),
-        pt_residual=float(np.linalg.norm(_pt_image(params, space) - h)),
+        pt_residual=float(np.linalg.norm(_pt_image(h) - h)),
         h_norm=float(np.linalg.norm(h)),
     )
 

@@ -72,6 +72,11 @@ class MetricDiagnostics:
     intertwining_residual: float
 
 
+def _with_overlaps(pairs: list[Eigenpair2]) -> BiorthoSystem:
+    overlap_matrix = np.array([[np.vdot(li.left_vector, rj.right_vector) for rj in pairs] for li in pairs])
+    return BiorthoSystem(tuple(pairs), overlap_matrix)
+
+
 def biortho_system(m) -> BiorthoSystem:
     """Biorthonormalize the eigenvectors of a 2x2 block: <L_i|R_j> = delta_ij.
 
@@ -92,10 +97,7 @@ def biortho_system(m) -> BiorthoSystem:
                 eigenvalues=(pairs[0].value, pairs[1].value),
             )
         normalized.append(Eigenpair2(p.value, right, left / np.conj(overlap)))
-    overlap_matrix = np.array(
-        [[np.vdot(li.left_vector, rj.right_vector) for rj in normalized] for li in normalized]
-    )
-    return BiorthoSystem(tuple(normalized), overlap_matrix)
+    return _with_overlaps(normalized)
 
 
 def fix_gauge_balanced(b: BiorthoSystem) -> BiorthoSystem:
@@ -120,10 +122,7 @@ def fix_gauge_balanced(b: BiorthoSystem) -> BiorthoSystem:
             phase = np.exp(-1j * np.angle(anchor))
         c = magnitude * phase
         gauged.append(Eigenpair2(p.value, p.right_vector / np.conj(c), c * p.left_vector))
-    overlap_matrix = np.array(
-        [[np.vdot(li.left_vector, rj.right_vector) for rj in gauged] for li in gauged]
-    )
-    return BiorthoSystem(tuple(gauged), overlap_matrix)
+    return _with_overlaps(gauged)
 
 
 def _eta_closed(params: ModelParams, n: int) -> tuple[np.ndarray, PhaseRegion]:

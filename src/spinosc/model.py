@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .smallmat import _as_block
+
 __all__ = [
     "ModelParams",
     "check_subspace_index",
@@ -89,12 +91,7 @@ def build_block(params: ModelParams, n: int) -> np.ndarray:
 
 def adjoint_block(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a 2x2 block."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("matrix entries must be finite")
-    return m.conj().T
+    return _as_block(m).conj().T
 
 
 def sigma_z_residual(params: ModelParams, n: int) -> float:

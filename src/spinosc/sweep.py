@@ -22,8 +22,6 @@ __all__ = ["SweepSpec", "SweepRow", "run_sweep", "emit", "figure_dataset", "CSV_
 
 CSV_HEADER = "n,mu,tau,region,mu_c,Z,F,S,Cv,valid"
 
-FIGURE_OBSERVABLES = {1: "free_energy", 2: "entropy", 3: "specific_heat"}
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -90,7 +88,6 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 )
                 continue
             point = thermo_point(ModelParams(spec.alpha, spec.homega, mu), n, spec.tau)
-            valid = point.region is not PhaseRegion.EXCEPTIONAL and point.z_positive
             rows.append(
                 SweepRow(
                     n,
@@ -102,7 +99,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                     point.free_energy,
                     point.entropy,
                     point.specific_heat,
-                    valid,
+                    point.z_positive,
                 )
             )
     return rows
@@ -115,7 +112,7 @@ def figure_dataset(fig: int, spec: SweepSpec | None = None) -> list[SweepRow]:
     covers subspaces (0, 1, 2, 5) over mu in [0, 4] at tau = 5, where the
     selected observable is populated on every non-exceptional row.
     """
-    if fig not in FIGURE_OBSERVABLES:
+    if fig not in (1, 2, 3):
         raise ValueError(f"figure id must be 1, 2 or 3, got {fig!r}")
     if spec is None:
         spec = SweepSpec(

@@ -1,8 +1,7 @@
 """Metric-weighted partition function per subspace and the thermodynamic observables.
 
-The defining route is the matrix trace Z = tr(exp(-H/tau) * eta), which is
-what everything else is validated against.  Carrying out the trace gives the
-closed scalar forms (b = D/2, bt = Dt/2, center = (2n+1)*homega/2):
+Observables come from the closed scalar forms of Z = tr(exp(-H/tau) * eta)
+(b = D/2, bt = Dt/2, center = (2n+1)*homega/2):
 
   unbroken:  Z = (2|delta|/D) * exp(-center/tau) * cosh(b/tau)
   broken:    Z = (4 mu sqrt(n+1)/Dt) * exp(-center/tau) * cos(bt/tau)
@@ -15,10 +14,14 @@ and differentiating ln Z in tau:
   C_v        = (b/tau)^2 sech^2(b/tau)   >= 0
   C_v(broken)= -(bt/tau)^2 sec^2(bt/tau) <= 0
 
+The matrix trace itself (partition_function, free_energy) is the oracle the
+closed forms are validated against in the verification suite and the tests.
+
 The broken-region Z can be negative (cos factor) at small tau; points there
 are flagged rather than clamped, F and S become undefined, and C_v is still
-meaningful because it only involves derivatives of ln|Z|.  Everything is
-singular at the coalescence point itself and construction is refused there.
+meaningful because it only involves derivatives of ln|Z|.  Z, F and S are
+also undefined where Z leaves double range.  Everything is singular at the
+coalescence point itself and construction is refused there.
 """
 
 from __future__ import annotations
@@ -126,15 +129,34 @@ def partition_function(params: ModelParams, n: int, tau: float) -> float:
     return float(z.real)
 
 
-def partition_function_closed(params: ModelParams, n: int, tau: float) -> float:
-    """Closed scalar form of Z; must agree with the matrix route to 1e-10 relative."""
-    n = check_subspace_index(n)
-    tau = _check_tau(tau)
-    region, center, half_gap, prefactor = _branch(params, n)
+def _closed(params: ModelParams, n: int, tau: float):
+    """(region, Z, S, C_v) from one _branch record.
+
+    Z and S are None where Z leaves double range, S also where cos(bt/tau) <= 0.
+    Raises ExceptionalPoint at the coalescence point.
+    """
+    region, center, b, prefactor = _branch(params, n)
+    x = b / tau
     envelope = prefactor * math.exp(-center / tau)
-    if region is PhaseRegion.UNBROKEN:
-        return envelope * math.cosh(half_gap / tau)
-    return envelope * math.cos(half_gap / tau)
+    if region is PhaseRegion.BROKEN:
+        c = math.cos(x)
+        t = math.tan(x)
+        s = math.log(prefactor) + math.log(c) + x * t if c > 0.0 else None
+        return region, envelope * c, s, -(x**2) * (1.0 + t**2)
+    try:
+        cosh = math.cosh(x)
+    except OverflowError:
+        cosh = math.inf
+    cv = 0.0 if x > 350.0 else x**2 / cosh**2
+    z = envelope * cosh
+    if not math.isfinite(z):
+        return region, None, None, cv
+    return region, z, math.log(prefactor) + math.log(cosh) - x * math.tanh(x), cv
+
+
+def partition_function_closed(params: ModelParams, n: int, tau: float) -> float | None:
+    """Closed scalar form of Z, None outside double range; the matrix route agrees to 1e-10 relative."""
+    return _closed(params, check_subspace_index(n), _check_tau(tau))[1]
 
 
 def log_partition_derivatives(params: ModelParams, n: int, tau: float) -> tuple[float, float]:
@@ -165,17 +187,8 @@ def free_energy(params: ModelParams, n: int, tau: float) -> float | None:
 
 
 def entropy(params: ModelParams, n: int, tau: float) -> float | None:
-    """S = ln Z + tau dlnZ/dtau in closed form; None where Z <= 0."""
-    n = check_subspace_index(n)
-    tau = _check_tau(tau)
-    region, _, b, prefactor = _branch(params, n)
-    x = b / tau
-    if region is PhaseRegion.UNBROKEN:
-        return math.log(prefactor) + math.log(math.cosh(x)) - x * math.tanh(x)
-    c = math.cos(x)
-    if c <= 0.0:
-        return None
-    return math.log(prefactor) + math.log(c) + x * math.tan(x)
+    """S = ln Z + tau dlnZ/dtau in closed form; None where Z <= 0 or out of range."""
+    return _closed(params, check_subspace_index(n), _check_tau(tau))[2]
 
 
 def specific_heat(params: ModelParams, n: int, tau: float) -> float:
@@ -184,29 +197,20 @@ def specific_heat(params: ModelParams, n: int, tau: float) -> float:
     Nonnegative in the unbroken region, nonpositive in the broken region, and
     -> 0 toward the coalescence point (where the exact point itself raises).
     """
-    n = check_subspace_index(n)
-    tau = _check_tau(tau)
-    region, _, b, _ = _branch(params, n)
-    x = b / tau
-    if region is PhaseRegion.UNBROKEN:
-        if x > 350.0:
-            return 0.0
-        return x**2 / math.cosh(x) ** 2
-    return -(x**2) * (1.0 + math.tan(x) ** 2)
+    return _closed(params, check_subspace_index(n), _check_tau(tau))[3]
 
 
 def thermo_point(params: ModelParams, n: int, tau: float) -> ThermoPoint:
     """Bundle Z, F, S, C_v at one point; coalescence yields an all-undefined record."""
     n = check_subspace_index(n)
     tau = _check_tau(tau)
-    region = classify(params, n)
-    if region is PhaseRegion.EXCEPTIONAL:
-        return ThermoPoint(n, params.mu, tau, region, None, None, None, None, False)
-    z = partition_function(params, n, tau)
-    z_positive = z > 0.0
+    try:
+        region, z, s, cv = _closed(params, n, tau)
+    except ExceptionalPoint:
+        return ThermoPoint(n, params.mu, tau, PhaseRegion.EXCEPTIONAL, None, None, None, None, False)
+    z_positive = z is not None and z > 0.0
     f = -tau * math.log(z) if z_positive else None
-    s = entropy(params, n, tau) if z_positive else None
-    return ThermoPoint(n, params.mu, tau, region, z, f, s, specific_heat(params, n, tau), z_positive)
+    return ThermoPoint(n, params.mu, tau, region, z, f, s if z_positive else None, cv, z_positive)
 
 
 def finite_diff_check(params: ModelParams, n: int, tau: float, step: float) -> DerivativeCheck:

@@ -1,13 +1,20 @@
+import json
 import subprocess
 import sys
 
+import pytest
 
-def run_cli(*args):
+
+def run_cli(*args, python_flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "spinosc", *args],
+        [sys.executable, *python_flags, "-m", "spinosc", *args],
         capture_output=True,
         text=True,
     )
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 def test_spectrum_at_coalescence():
@@ -72,6 +79,48 @@ def test_fig_writes_file(tmp_path):
     content = target.read_text()
     assert content.startswith("n,mu,tau,region,mu_c")
     assert "Exceptional" in content
+
+
+def test_fig_is_the_sweep_preset_for_every_id():
+    sweep = run_cli("sweep", "--subspaces", "0", "1", "2", "5", "--steps", "9")
+    assert sweep.returncode == 0
+    for fig_id in ("1", "2", "3"):
+        fig = run_cli("fig", "--id", fig_id, "--steps", "9")
+        assert fig.returncode == 0
+        assert fig.stdout == sweep.stdout
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path):
+    target = tmp_path / "missing" / "rows.csv"
+    result = run_cli("sweep", "--steps", "5", "--output", str(target))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: could not write sweep output to {target}")
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("tau", ["1e-3", "1e-4"])
+def test_thermo_where_cosh_overflows_is_undefined_not_nan(tau):
+    args = ("thermo", "--n", "0", "--mu", "1", "--tau", tau)
+    quiet = run_cli(*args, python_flags=("-W", "ignore"))
+    strict = run_cli(*args, python_flags=("-W", "error::RuntimeWarning"))
+    for result in (quiet, strict):
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+    assert quiet.stdout == strict.stdout
+    for line in ("Z = undefined", "F = undefined", "S = undefined", "Cv = 0"):
+        assert line in quiet.stdout.splitlines()
+
+
+def test_sweep_json_at_tiny_tau_has_no_nan():
+    result = run_cli("sweep", "--tau", "1e-3", "--steps", "5", "--format", "json")
+    assert result.returncode == 0, result.stderr
+    rows = json.loads(result.stdout, parse_constant=_reject_constant)
+    assert result.stderr == ""
+    unbroken = [r for r in rows if r["region"] == "Unbroken"]
+    assert unbroken
+    for row in unbroken:
+        assert (row["Z"], row["F"], row["S"], row["Cv"], row["valid"]) == (None, None, None, 0.0, False)
 
 
 def test_fig_rejects_unknown_id():

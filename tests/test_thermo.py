@@ -6,7 +6,8 @@ import pytest
 from spinosc.metric import ExceptionalPoint, eta
 from spinosc.model import ModelParams, build_block
 from spinosc.smallmat import expm2
-from spinosc.spectral import PhaseRegion, block_spectrum, critical_coupling
+from spinosc.spectral import PhaseRegion, block_spectrum, critical_coupling, discriminant
+from spinosc.sweep import SweepSpec, figure_dataset
 from spinosc.thermo import (
     StencilCrossesSingularity,
     entropy,
@@ -215,3 +216,64 @@ def test_free_energy_tracks_log_z():
     logz = [-v / t for v, t in zip(values, taus)]
     zs = [partition_function(params, 0, t) for t in taus]
     assert np.all(np.diff(logz) * np.diff(zs) >= 0.0)
+
+
+def _envelope(params, n, tau):
+    # prefactor * exp(-center/tau): the size of Z's terms before cos(bt/tau)
+    # can nearly cancel them in the broken region.
+    disc = discriminant(params, n)
+    center = 0.5 * (2 * n + 1) * params.homega
+    if disc > 0.0:
+        prefactor = 2.0 * abs(params.delta) / math.sqrt(disc)
+    else:
+        prefactor = 4.0 * params.mu * math.sqrt(n + 1.0) / math.sqrt(-disc)
+    return prefactor * math.exp(-center / tau)
+
+
+@pytest.mark.parametrize("tau", [5.0, 1.0])
+def test_figure_rows_match_the_matrix_trace(tau):
+    # The default figure grid at this tau.
+    spec = SweepSpec(**FIG, tau=tau, subspaces=(0, 1, 2, 5), mu_min=0.0, mu_max=4.0, steps=161)
+    rows = [r for r in figure_dataset(1, spec) if r.region is not PhaseRegion.EXCEPTIONAL]
+    if tau == 1.0:
+        assert any(r.z < 0.0 for r in rows)
+    for row in rows:
+        params = ModelParams(**FIG, mu=row.mu)
+        z_matrix = partition_function(params, row.n, tau)
+        scale = max(abs(z_matrix), _envelope(params, row.n, tau))
+        assert abs(row.z - z_matrix) <= 1e-10 * scale
+        f_matrix = free_energy(params, row.n, tau)
+        assert (row.free_energy is None) == (f_matrix is None)
+        if f_matrix is not None:
+            # 1e-10 * scale on Z carried through F = -tau ln Z.
+            assert abs(row.free_energy - f_matrix) <= 1e-10 * tau * scale / z_matrix
+
+
+def test_thermo_point_never_builds_a_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix route called on the production path")
+
+    for name in ("expm2", "eta", "build_block"):
+        monkeypatch.setattr(f"spinosc.thermo.{name}", refuse)
+    cases = [
+        (1.0, 1.0, PhaseRegion.UNBROKEN, Z_UNBROKEN),
+        (2.5, 2.0, PhaseRegion.BROKEN, Z_BROKEN),
+        (3.0, 1.0, PhaseRegion.BROKEN, Z_NEGATIVE),
+    ]
+    for mu, tau, region, z in cases:
+        point = thermo_point(ModelParams(**FIG, mu=mu), 0, tau)
+        assert point.region is region
+        assert point.z == pytest.approx(z, rel=1e-12)
+        assert point.z_positive == (z > 0.0)
+
+
+@pytest.mark.parametrize("tau", [1e-3, 1e-4])
+def test_overflowing_cosh_leaves_z_f_s_undefined(tau):
+    params = ModelParams(**FIG, mu=1.0)
+    point = thermo_point(params, 0, tau)
+    assert point.region is PhaseRegion.UNBROKEN
+    assert (point.z, point.free_energy, point.entropy, point.specific_heat) == (None, None, None, 0.0)
+    assert not point.z_positive
+    assert partition_function_closed(params, 0, tau) is None
+    assert entropy(params, 0, tau) is None
+    assert specific_heat(params, 0, tau) == 0.0
