@@ -19,6 +19,7 @@ from .smallmat import _as_block
 
 __all__ = [
     "ModelParams",
+    "MAX_SUBSPACE",
     "check_subspace_index",
     "build_block",
     "adjoint_block",
@@ -60,12 +61,18 @@ class ModelParams:
         return self.homega - self.alpha
 
 
+MAX_SUBSPACE = 2**53 - 1
+"""Largest subspace index: up to here n and n + 1 are distinct, exact doubles."""
+
+
 def check_subspace_index(n: int) -> int:
     """Validate an oscillator quantum number labeling a 2x2 invariant subspace."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"subspace index must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"subspace index must be nonnegative, got {n}")
+    if n > MAX_SUBSPACE:
+        raise ValueError("subspace index must be at most 2**53 - 1, where n + 1 is still exact in a double")
     return int(n)
 
 

@@ -52,8 +52,12 @@ class Spectrum2:
 
 
 def discriminant(params: ModelParams, n: int) -> float:
+    """delta**2 - 4*mu**2*(n+1); ValueError where it leaves double range."""
     n = check_subspace_index(n)
-    return params.delta**2 - 4.0 * params.mu**2 * (n + 1)
+    disc = params.delta * params.delta - 4.0 * (params.mu * params.mu) * (n + 1)
+    if not math.isfinite(disc):
+        raise ValueError(f"the discriminant of subspace {n} overflows: alpha, homega or mu is too large")
+    return disc
 
 
 def classify(params: ModelParams, n: int) -> PhaseRegion:

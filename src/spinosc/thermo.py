@@ -14,32 +14,44 @@ and differentiating ln Z in tau:
   C_v        = (b/tau)^2 sech^2(b/tau)   >= 0
   C_v(broken)= -(bt/tau)^2 sec^2(bt/tau) <= 0
 
-The matrix trace itself (partition_function, free_energy) is the oracle the
-closed forms are validated against in the verification suite and the tests.
+One array kernel, closed_forms, evaluates these over a whole coupling grid
+of one subspace: region masks select the unbroken, broken and exceptional
+points, and NaN marks an undefined value inside it.  thermo_point and the
+scalar accessors run it on a one-point grid; run_sweep runs it once per
+subspace.  The row-by-row scalar version of the same formulas lives in the
+tests as the reference the kernel is held to.  The matrix trace itself
+(partition_function, free_energy) is the oracle the closed forms are
+validated against in the verification suite and the tests.
 
 The broken-region Z can be negative (cos factor) at small tau; points there
 are flagged rather than clamped, F and S become undefined, and C_v is still
-meaningful because it only involves derivatives of ln|Z|.  Z, F and S are
-also undefined where Z leaves double range.  Everything is singular at the
-coalescence point itself and construction is refused there.
+meaningful because it only involves derivatives of ln|Z|.  Any observable
+that leaves double range, or that depends on cos/tan of a b/tau beyond double
+range, is undefined too; the unbroken C_v is 0 for b/tau > 350, where the
+exact value underflows.  Everything is singular at the coalescence point
+itself: the observables are undefined there and the scalar accessors raise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .metric import ExceptionalPoint, eta
 from .model import ModelParams, build_block, check_subspace_index
-from .smallmat import expm2
+from .smallmat import ep_tolerance, expm2
 from .spectral import PhaseRegion, classify, discriminant
 
 __all__ = [
     "StencilCrossesSingularity",
     "ThermoPoint",
     "DerivativeCheck",
+    "REGIONS",
+    "ClosedForms",
+    "closed_forms",
     "partition_function",
     "partition_function_closed",
     "log_partition_derivatives",
@@ -87,31 +99,6 @@ def _check_tau(tau: float) -> float:
     return tau
 
 
-def _branch(params: ModelParams, n: int):
-    """(region, center, half_gap, prefactor) shared by the closed forms.
-
-    half_gap is D/2 (unbroken) or Dt/2 (broken); prefactor is the metric
-    trace 2|delta|/D or 4 mu sqrt(n+1)/Dt.
-    """
-    region = classify(params, n)
-    if region is PhaseRegion.EXCEPTIONAL:
-        raise ExceptionalPoint(
-            f"observables are singular at mu = {params.mu} (coalescence for subspace n = {n})"
-        )
-    disc = discriminant(params, n)
-    center = 0.5 * (2 * n + 1) * params.homega
-    if region is PhaseRegion.UNBROKEN:
-        if params.mu == 0.0:
-            # D = |delta| exactly here; avoid sqrt(delta**2) rounding in the
-            # Hermitian limit.
-            return region, center, 0.5 * abs(params.delta), 2.0
-        d = math.sqrt(disc)
-        return region, center, 0.5 * d, 2.0 * abs(params.delta) / d
-    d = math.sqrt(-disc)
-    prefactor = 4.0 * params.mu * math.sqrt(n + 1.0) / d
-    return region, center, 0.5 * d, prefactor
-
-
 def partition_function(params: ModelParams, n: int, tau: float) -> float:
     """Z = tr(exp(-H/tau) * eta) by explicit 2x2 matrix arithmetic.
 
@@ -129,41 +116,114 @@ def partition_function(params: ModelParams, n: int, tau: float) -> float:
     return float(z.real)
 
 
-def _closed(params: ModelParams, n: int, tau: float):
-    """(region, Z, S, C_v) from one _branch record.
+REGIONS = (PhaseRegion.UNBROKEN, PhaseRegion.BROKEN, PhaseRegion.EXCEPTIONAL)
 
-    Z and S are None where Z leaves double range, S also where cos(bt/tau) <= 0.
-    Raises ExceptionalPoint at the coalescence point.
+
+class ClosedForms(NamedTuple):
+    """Observables over a coupling grid; NaN marks an undefined value."""
+
+    region: np.ndarray  # index into REGIONS
+    z: np.ndarray
+    free_energy: np.ndarray
+    entropy: np.ndarray
+    specific_heat: np.ndarray
+    valid: np.ndarray  # every observable defined
+
+
+def closed_forms(
+    alpha: float, homega: float, n: int, mu: np.ndarray, tau: float, excluded: np.ndarray | None = None
+) -> ClosedForms:
+    """Z, F, S and C_v of subspace n at every coupling in `mu`, at one tau.
+
+    A point is Exceptional where `excluded` is set or where classify's test
+    |disc| < ep_tolerance(delta**2) holds, and has no observables.  n and
+    tau must already be validated.  Raises ValueError where the discriminant
+    leaves double range.
     """
-    region, center, b, prefactor = _branch(params, n)
-    x = b / tau
-    envelope = prefactor * math.exp(-center / tau)
-    if region is PhaseRegion.BROKEN:
-        c = math.cos(x)
-        t = math.tan(x)
-        s = math.log(prefactor) + math.log(c) + x * t if c > 0.0 else None
-        return region, envelope * c, s, -(x**2) * (1.0 + t**2)
-    try:
-        cosh = math.cosh(x)
-    except OverflowError:
-        cosh = math.inf
-    cv = 0.0 if x > 350.0 else x**2 / cosh**2
-    z = envelope * cosh
-    if not math.isfinite(z):
-        return region, None, None, cv
-    return region, z, math.log(prefactor) + math.log(cosh) - x * math.tanh(x), cv
+    mu = np.asarray(mu, dtype=float)
+    delta = homega - alpha
+    delta_sq = delta * delta
+    center = 0.5 * (2 * n + 1) * homega
+    damping = math.exp(-center / tau)
+    z, f, s, cv = (np.full(mu.shape, np.nan) for _ in range(4))
+    with np.errstate(all="ignore"):
+        disc = delta_sq - 4.0 * mu**2 * (n + 1)
+        if not np.isfinite(disc).all():
+            raise ValueError(f"the discriminant of subspace {n} overflows: alpha, homega or mu is too large")
+        exceptional = np.abs(disc) < ep_tolerance(delta_sq)
+        if excluded is not None:
+            exceptional |= excluded
+        unbroken = ~exceptional & (disc > 0.0)
+        broken = ~exceptional & (disc <= 0.0)
+
+        d = np.sqrt(disc[unbroken])
+        # D = |delta| exactly at mu == 0; avoid sqrt(delta**2) rounding in
+        # the Hermitian limit.
+        hermitian = mu[unbroken] == 0.0
+        x = np.where(hermitian, 0.5 * abs(delta), 0.5 * d) / tau
+        prefactor = np.where(hermitian, 2.0, 2.0 * abs(delta) / d)
+        cosh = np.cosh(x)
+        z[unbroken] = prefactor * damping * cosh
+        s[unbroken] = np.log(prefactor) + np.log(cosh) - x * np.tanh(x)
+        cv[unbroken] = np.where(x > 350.0, 0.0, x**2 / cosh**2)
+
+        d = np.sqrt(-disc[broken])
+        prefactor = 4.0 * mu[broken] * math.sqrt(n + 1.0) / d
+        x = 0.5 * d / tau
+        c = np.cos(x)
+        t = np.tan(x)
+        z[broken] = prefactor * damping * c
+        s[broken] = np.log(prefactor) + np.log(c) + x * t
+        cv[broken] = -(x**2) * (1.0 + t**2)
+
+        # Z == 0 is an underflow: the closed form itself never vanishes.
+        z[z == 0.0] = np.nan
+        for values in (z, s, cv):
+            values[~np.isfinite(values)] = np.nan
+        positive = z > 0.0
+        f[positive] = -tau * np.log(z[positive])
+        f[~np.isfinite(f)] = np.nan
+        s[~positive] = np.nan
+    region = np.full(mu.shape, 2, dtype=np.int8)
+    region[unbroken] = 0
+    region[broken] = 1
+    return ClosedForms(region, z, f, s, cv, ~(np.isnan(f) | np.isnan(s) | np.isnan(cv)))
+
+
+def _point(params: ModelParams, n: int, tau: float):
+    """(region, Z, F, S, C_v) from the kernel on a one-point grid; None where undefined."""
+    columns = closed_forms(params.alpha, params.homega, n, np.array([params.mu]), tau)
+    values = (float(column[0]) for column in columns[1:5])
+    return REGIONS[columns.region[0]], *(None if math.isnan(v) else v for v in values)
+
+
+def _singular(params: ModelParams, n: int) -> ExceptionalPoint:
+    return ExceptionalPoint(f"observables are singular at mu = {params.mu} (coalescence for subspace n = {n})")
+
+
+def _defined(params: ModelParams, n: int, tau: float):
+    """(Z, F, S, C_v) of one point; raises ExceptionalPoint at the coalescence point."""
+    n = check_subspace_index(n)
+    region, *values = _point(params, n, _check_tau(tau))
+    if region is PhaseRegion.EXCEPTIONAL:
+        raise _singular(params, n)
+    return values
 
 
 def partition_function_closed(params: ModelParams, n: int, tau: float) -> float | None:
     """Closed scalar form of Z, None outside double range; the matrix route agrees to 1e-10 relative."""
-    return _closed(params, check_subspace_index(n), _check_tau(tau))[1]
+    return _defined(params, n, tau)[0]
 
 
 def log_partition_derivatives(params: ModelParams, n: int, tau: float) -> tuple[float, float]:
     """Analytic d(ln Z)/d tau and d^2(ln Z)/d tau^2 (broken region uses ln|Z|)."""
     n = check_subspace_index(n)
     tau = _check_tau(tau)
-    region, center, b, _ = _branch(params, n)
+    region = classify(params, n)
+    if region is PhaseRegion.EXCEPTIONAL:
+        raise _singular(params, n)
+    center = 0.5 * (2 * n + 1) * params.homega
+    b = 0.5 * math.sqrt(abs(discriminant(params, n)))  # D/2 or Dt/2
     if region is PhaseRegion.UNBROKEN:
         t = math.tanh(b / tau)
         sech_sq = 1.0 / math.cosh(b / tau) ** 2
@@ -188,29 +248,24 @@ def free_energy(params: ModelParams, n: int, tau: float) -> float | None:
 
 def entropy(params: ModelParams, n: int, tau: float) -> float | None:
     """S = ln Z + tau dlnZ/dtau in closed form; None where Z <= 0 or out of range."""
-    return _closed(params, check_subspace_index(n), _check_tau(tau))[2]
+    return _defined(params, n, tau)[2]
 
 
-def specific_heat(params: ModelParams, n: int, tau: float) -> float:
-    """C_v = 2 tau dlnZ/dtau + tau^2 d2lnZ/dtau2 in closed form.
+def specific_heat(params: ModelParams, n: int, tau: float) -> float | None:
+    """C_v = 2 tau dlnZ/dtau + tau^2 d2lnZ/dtau2 in closed form; None out of range.
 
     Nonnegative in the unbroken region, nonpositive in the broken region, and
     -> 0 toward the coalescence point (where the exact point itself raises).
     """
-    return _closed(params, check_subspace_index(n), _check_tau(tau))[3]
+    return _defined(params, n, tau)[3]
 
 
 def thermo_point(params: ModelParams, n: int, tau: float) -> ThermoPoint:
     """Bundle Z, F, S, C_v at one point; coalescence yields an all-undefined record."""
     n = check_subspace_index(n)
     tau = _check_tau(tau)
-    try:
-        region, z, s, cv = _closed(params, n, tau)
-    except ExceptionalPoint:
-        return ThermoPoint(n, params.mu, tau, PhaseRegion.EXCEPTIONAL, None, None, None, None, False)
-    z_positive = z is not None and z > 0.0
-    f = -tau * math.log(z) if z_positive else None
-    return ThermoPoint(n, params.mu, tau, region, z, f, s if z_positive else None, cv, z_positive)
+    region, z, f, s, cv = _point(params, n, tau)
+    return ThermoPoint(n, params.mu, tau, region, z, f, s, cv, z is not None and z > 0.0)
 
 
 def finite_diff_check(params: ModelParams, n: int, tau: float, step: float) -> DerivativeCheck:

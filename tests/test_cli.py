@@ -139,3 +139,55 @@ def test_verify_passes_on_defaults():
     assert result.returncode == 0
     assert "all 8 checks passed" in result.stdout
     assert "FAIL" not in result.stdout
+
+
+@pytest.mark.parametrize("tau", ["1e-160", "1e-320"])
+def test_thermo_at_tiny_tau_broken_is_undefined(tau):
+    result = run_cli("thermo", "--n", "0", "--mu", "3", "--tau", tau, python_flags=("-W", "error::RuntimeWarning"))
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    lines = result.stdout.splitlines()
+    assert "region = Broken" in lines
+    for key in ("Z", "F", "S", "Cv"):
+        assert f"{key} = undefined" in lines
+
+
+@pytest.mark.parametrize("tau", ["1e-160", "1e-320"])
+def test_sweep_at_tiny_tau_broken_is_undefined(tau):
+    args = ("sweep", "--subspaces", "0", "--mu-min", "2.5", "--mu-max", "3", "--steps", "3", "--tau", tau)
+    csv = run_cli(*args, python_flags=("-W", "error::RuntimeWarning"))
+    assert csv.returncode == 0, csv.stderr
+    assert csv.stderr == ""
+    rows = csv.stdout.splitlines()[1:]
+    assert len(rows) == 3
+    for row in rows:
+        assert row.split(",")[3:] == ["Broken", "2", "", "", "", "", "false"]
+    result = run_cli(*args, "--format", "json", python_flags=("-W", "error::RuntimeWarning"))
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    for row in json.loads(result.stdout, parse_constant=_reject_constant):
+        assert (row["Z"], row["F"], row["S"], row["Cv"], row["valid"]) == (None, None, None, None, False)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("spectrum", "--n", "0", "--mu", "1e300"),
+        ("thermo", "--n", "0", "--mu", "1e300"),
+        ("sweep", "--mu-max", "1e300"),
+        ("spectrum", "--n", "1" + "0" * 400, "--mu", "1"),
+        ("thermo", "--n", "1" + "0" * 400, "--mu", "1"),
+        ("sweep", "--subspaces", "1" + "0" * 400),
+        ("--alpha", "1e200", "spectrum", "--n", "0", "--mu", "1"),
+        ("sweep", "--mu-max", "inf"),
+        ("--alpha", "nan", "sweep"),
+        ("sweep", "--tau", "inf"),
+        ("sweep", "--steps", str(10**12)),
+    ],
+)
+def test_out_of_range_inputs_exit_2_with_one_line(args):
+    result = run_cli(*args)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.strip().splitlines()) == 1

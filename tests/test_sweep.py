@@ -8,6 +8,7 @@ from spinosc.model import ModelParams
 from spinosc.spectral import PhaseRegion, classify
 from spinosc.sweep import (
     CSV_HEADER,
+    MAX_ROWS,
     SweepRow,
     SweepSpec,
     emit,
@@ -63,12 +64,20 @@ def test_endpoint_rows_match_thermo_point():
     "bad",
     [
         dict(steps=1),
+        dict(steps=2.5),
         dict(mu_min=2.0, mu_max=1.0),
         dict(ep_window=-1.0),
         dict(tau=0.0),
         dict(subspaces=()),
         dict(subspaces=(-1,)),
         dict(mu_min=-0.5),
+        dict(alpha=float("inf")),
+        dict(homega=float("nan")),
+        dict(tau=float("inf")),
+        dict(mu_max=float("inf")),
+        dict(mu_max=1e300),
+        dict(alpha=1e200),
+        dict(subspaces=(2**53,)),
     ],
 )
 def test_spec_validation(bad):
@@ -190,3 +199,91 @@ def test_rows_are_plain_records():
     row = run_sweep(_spec(steps=2, mu_min=0.0, mu_max=1.0))[0]
     assert isinstance(row, SweepRow)
     assert row.mu_c == 2.0
+
+
+def test_row_cap_is_checked_before_any_allocation():
+    with pytest.raises(ValueError, match="row cap"):
+        _spec(steps=10**12)
+    with pytest.raises(ValueError, match="row cap"):
+        _spec(subspaces=(0, 1), steps=MAX_ROWS // 2 + 1)
+    # Repeated subspace indices count once.
+    assert _spec(subspaces=(0, 0), steps=MAX_ROWS).steps == MAX_ROWS
+
+
+def _fmt_reference(value):
+    return format(value, ".12g")
+
+
+def _opt_reference(value):
+    return "" if value is None else _fmt_reference(value)
+
+
+def render_csv_reference(rows):
+    """The row-at-a-time CSV renderer the column renderer replaced."""
+    lines = [CSV_HEADER]
+    for r in rows:
+        fields = [str(r.n), _fmt_reference(r.mu), _fmt_reference(r.tau), r.region.value, _fmt_reference(r.mu_c)]
+        fields += [_opt_reference(v) for v in (r.z, r.free_energy, r.entropy, r.specific_heat)]
+        lines.append(",".join(fields + ["true" if r.valid else "false"]))
+    return "\n".join(lines) + "\n"
+
+
+def render_json_reference(rows):
+    """json.dumps(indent=2) of the rounded rows, as the column renderer must write it."""
+
+    def roundtrip(value):
+        return None if value is None else float(_fmt_reference(value))
+
+    payload = [
+        {
+            "n": r.n,
+            "mu": roundtrip(r.mu),
+            "tau": roundtrip(r.tau),
+            "region": r.region.value,
+            "mu_c": roundtrip(r.mu_c),
+            "Z": roundtrip(r.z),
+            "F": roundtrip(r.free_energy),
+            "S": roundtrip(r.entropy),
+            "Cv": roundtrip(r.specific_heat),
+            "valid": r.valid,
+        }
+        for r in rows
+    ]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _byte_identity_rows():
+    # Unbroken, Exceptional and broken rows with a negative Z (F, S None).
+    rows = run_sweep(_spec(tau=1.0, subspaces=(0, 3), steps=33))
+    # Huge F and exponent-format values.
+    rows += run_sweep(_spec(tau=1e300, mu_min=0.5, mu_max=3.5, steps=7))
+    # Z beyond double range, tiny Cv, and an underflowed Z.
+    rows += run_sweep(_spec(tau=1e-3, subspaces=(0, 40), steps=9))
+    unbroken = PhaseRegion.UNBROKEN
+    rows += [
+        # Equal values held by distinct objects, signed zeros, values .12g
+        # prints without ".0", and exponents 12 to 15, where json switches
+        # to positional notation and .12g does not.
+        SweepRow(7, 0.0, 2.0, unbroken, 1.5, -0.0, 1e12, 123456789012345.0, 5e-324, True),
+        SweepRow(7, -0.0, float("2"), unbroken, 1.5, 0.0, -2.5e15, 1e16, -1e-5, False),
+        SweepRow(8, 1e-4, 3.0, PhaseRegion.BROKEN, 1e20, None, None, 0.1 + 0.2, 1 / 3, False),
+        SweepRow(8, 123456789012.5, 3.0, PhaseRegion.EXCEPTIONAL, 9.999999999995, None, None, None, None, False),
+    ]
+    return rows
+
+
+def test_renderers_are_byte_identical_to_the_row_renderers(monkeypatch):
+    rows = _byte_identity_rows()
+    csv_text, json_text = render_csv(rows), render_json(rows)
+    assert csv_text == render_csv_reference(rows)
+    assert json_text == render_json_reference(rows)
+    assert ",-0," in csv_text and ",,,,false" in csv_text and "e+300" in csv_text
+    # Chunk boundaries inside a grid and between grids change nothing.
+    monkeypatch.setattr("spinosc.sweep._CHUNK_ROWS", 5)
+    assert render_csv(rows) == csv_text
+    assert render_json(rows) == json_text
+
+
+def test_empty_render_matches_the_row_renderers():
+    assert render_csv([]) == render_csv_reference([]) == CSV_HEADER + "\n"
+    assert render_json([]) == render_json_reference([]) == "[]\n"
