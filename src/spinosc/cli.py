@@ -8,12 +8,13 @@ rendering of library results and is byte-identical across identical runs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .metric import ExceptionalPoint
 from .model import ModelParams
 from .spectral import PhaseRegion, block_spectrum, critical_coupling
-from .sweep import SweepSpec, _fmt, emit, run_sweep
+from .sweep import SweepSpec, emit, run_sweep
 from .thermo import thermo_point
 from .verify import run_checks
 
@@ -21,6 +22,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_UNDEFINED = 3
 EXIT_VERIFY = 4
+
+
+def _fmt(value: float) -> str:
+    return format(value, ".12g")
 
 
 def _fmt_complex(value: complex) -> str:
@@ -119,6 +124,7 @@ def _cmd_sweep(args) -> int:
         steps=args.steps,
         ep_window=args.ep_window,
     )
+    # run_sweep finishes before emit opens the destination: a rejected sweep writes nothing.
     emit(run_sweep(spec), format=args.format, destination=args.output)
     return EXIT_OK
 
@@ -148,7 +154,15 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader of stdout is gone (as with `| head`): stop quietly.  A
+        # failed --output write arrives as a plain OSError naming the path.
+        # Point stdout at devnull so the flush at exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, ExceptionalPoint, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

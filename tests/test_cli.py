@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -191,3 +192,61 @@ def test_out_of_range_inputs_exit_2_with_one_line(args):
     assert result.stdout == ""
     assert result.stderr.startswith("error: ")
     assert len(result.stderr.strip().splitlines()) == 1
+
+
+def _closed_stdout_run(args, env, first_line):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spinosc", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    if first_line:
+        assert proc.stdout.readline() == first_line
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=60), stderr
+
+
+@pytest.mark.parametrize("unbuffered", [pytest.param("", id="buffered"), pytest.param("1", id="unbuffered")])
+def test_closed_stdout_exits_0_quietly(unbuffered):
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    # Ten blocks of ~180 kB each: the writer meets the closed pipe mid-sweep.
+    sweep = ("sweep", "--subspaces", *map(str, range(10)), "--steps", "2001")
+    assert _closed_stdout_run(sweep, env, b"n,mu,tau,region,mu_c,Z,F,S,Cv,valid\n") == (0, b"")
+    # Closed before the interpreter is up: the short text meets it at the flush.
+    thermo = ("thermo", "--n", "0", "--mu", "1")
+    assert _closed_stdout_run(thermo, env, None) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+def test_output_write_that_fails_part_way_exits_2_with_one_line():
+    result = run_cli("sweep", "--subspaces", "0", "1", "--steps", "2001", "--output", "/dev/full")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: could not write sweep output to /dev/full")
+    assert len(result.stderr.strip().splitlines()) == 1
+
+
+def test_rejected_sweep_opens_no_output(tmp_path):
+    existing = tmp_path / "existing.csv"
+    existing.write_text("kept\n")
+    result = run_cli("sweep", "--steps", str(10**12), "--output", str(existing))
+    assert result.returncode == 2 and "row cap" in result.stderr
+    assert existing.read_text() == "kept\n"
+    new = tmp_path / "new.csv"
+    result = run_cli("sweep", "--mu-max", "1e300", "--output", str(new))
+    assert result.returncode == 2 and result.stderr.startswith("error: ")
+    assert not new.exists()
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_output_file_and_stdout_carry_the_same_bytes(tmp_path, format):
+    args = ("sweep", "--subspaces", "3", "0", "3", "1", "--steps", "41", "--tau", "1", "--format", format)
+    outputs = []
+    for run in range(2):
+        target = tmp_path / f"run{run}.{format}"
+        to_file = run_cli(*args, "--output", str(target))
+        to_stdout = run_cli(*args)
+        assert to_file.returncode == to_stdout.returncode == 0
+        assert to_file.stdout == to_file.stderr == to_stdout.stderr == ""
+        outputs += [target.read_bytes(), to_stdout.stdout.encode()]
+    assert len(set(outputs)) == 1
+    assert outputs[0] == run_cli(*args[:2], "0", "1", "3", *args[6:]).stdout.encode()

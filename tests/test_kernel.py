@@ -1,7 +1,7 @@
 """The array kernel against the row-by-row scalar closed forms and 50-digit values.
 
 `reference_row` is the math-module evaluation that run_sweep used to make one
-point at a time; closed_forms must reproduce it on every row.  Regions,
+point at a time; closed_forms must reproduce it on every row of the blocks.  Regions,
 validity and which fields are undefined must match exactly.  Values may differ
 by the ulps in which numpy's and libm's cos, tan, cosh, tanh, exp and log
 round, amplified where S or F is a small difference of O(1) terms; TOL bounds
@@ -70,8 +70,12 @@ def _mu_grid(spec):
     return [spec.mu_min + i * width for i in range(spec.steps)]
 
 
+def _rows(spec):
+    return [row for block in run_sweep(spec) for row in block.rows()]
+
+
 def _assert_matches_reference(spec):
-    rows = run_sweep(spec)
+    rows = _rows(spec)
     expected = [(n, mu) for n in sorted(set(spec.subspaces)) for mu in _mu_grid(spec)]
     assert [(r.n, r.mu) for r in rows] == expected
     worst = 0.0
@@ -112,7 +116,7 @@ def test_sweep_matches_reference_at_classify_exceptional_point():
 
 
 def test_unbroken_grid_is_unbroken_but_its_last_row():
-    rows = run_sweep(SweepSpec(**dict(FIG_GRID, alpha=41.0, subspaces=tuple(range(25)), steps=201)))
+    rows = _rows(SweepSpec(**dict(FIG_GRID, alpha=41.0, subspaces=tuple(range(25)), steps=201)))
     regions = [r.region for r in rows]
     assert regions[-1] is PhaseRegion.EXCEPTIONAL
     assert set(regions[:-1]) == {PhaseRegion.UNBROKEN}

@@ -9,15 +9,17 @@ from spinosc.spectral import PhaseRegion, classify
 from spinosc.sweep import (
     CSV_HEADER,
     MAX_ROWS,
+    SweepBlock,
     SweepRow,
     SweepSpec,
+    _json_numbers,
     emit,
     figure_dataset,
     render_csv,
     render_json,
     run_sweep,
 )
-from spinosc.thermo import thermo_point
+from spinosc.thermo import REGIONS, ClosedForms, thermo_point
 
 
 def _spec(**overrides):
@@ -34,8 +36,18 @@ def _spec(**overrides):
     return SweepSpec(**base)
 
 
+def _rows(spec):
+    return [row for block in run_sweep(spec) for row in block.rows()]
+
+
+def _document(blocks, format="csv"):
+    buffer = io.StringIO()
+    emit(blocks, format, buffer)
+    return buffer.getvalue()
+
+
 def test_grid_hits_coalescence_row():
-    rows = run_sweep(_spec())
+    rows = _rows(_spec())
     at_two = [r for r in rows if r.mu == 2.0]
     assert len(at_two) == 1
     assert at_two[0].region is PhaseRegion.EXCEPTIONAL
@@ -44,14 +56,17 @@ def test_grid_hits_coalescence_row():
 
 
 def test_rows_ordered_and_complete():
-    rows = run_sweep(_spec(subspaces=(1, 0)))
+    blocks = run_sweep(_spec(subspaces=(1, 0, 1)))
+    assert [block.n for block in blocks] == [0, 1]
+    assert blocks[0].mu is blocks[1].mu
+    rows = [row for block in blocks for row in block.rows()]
     assert len(rows) == 18
     keys = [(r.n, r.mu) for r in rows]
     assert keys == sorted(keys)
 
 
 def test_endpoint_rows_match_thermo_point():
-    rows = run_sweep(_spec(tau=1.0, mu_min=0.0, mu_max=1.0, steps=2))
+    rows = _rows(_spec(tau=1.0, mu_min=0.0, mu_max=1.0, steps=2))
     for row, mu in zip(rows, (0.0, 1.0)):
         point = thermo_point(ModelParams(5, 1, mu), 0, 1.0)
         assert row.z == pytest.approx(point.z, rel=1e-15)
@@ -87,7 +102,7 @@ def test_spec_validation(bad):
 
 def test_region_matches_classify_outside_window():
     spec = _spec(steps=41)
-    for row in run_sweep(spec):
+    for row in _rows(spec):
         if abs(row.mu - row.mu_c) > spec.ep_window:
             assert row.region is classify(ModelParams(5, 1, row.mu), row.n)
         else:
@@ -95,7 +110,7 @@ def test_region_matches_classify_outside_window():
 
 
 def test_region_sign_structure_in_rows():
-    for row in run_sweep(_spec(steps=33)):
+    for row in _rows(_spec(steps=33)):
         if row.region is PhaseRegion.UNBROKEN:
             assert row.specific_heat >= 0.0
         elif row.region is PhaseRegion.BROKEN and row.valid:
@@ -103,14 +118,14 @@ def test_region_sign_structure_in_rows():
 
 
 def test_csv_header_and_empty_rows():
-    assert render_csv([]) == CSV_HEADER + "\n"
+    assert _document([]) == render_csv([]) == CSV_HEADER + "\n"
 
 
 def test_csv_single_valid_row():
-    rows = run_sweep(_spec(tau=1.0, mu_min=0.5, mu_max=1.0, steps=2))
-    text = render_csv(rows[:1])
-    lines = text.strip().split("\n")
+    blocks = run_sweep(_spec(tau=1.0, mu_min=0.5, mu_max=1.0, steps=2))
+    lines = _document(blocks).strip().split("\n")
     assert lines[0] == CSV_HEADER
+    assert lines[1:] == render_csv(blocks[0]).strip().split("\n")
     fields = lines[1].split(",")
     assert fields[0] == "0"
     assert fields[3] == "Unbroken"
@@ -120,8 +135,8 @@ def test_csv_single_valid_row():
 
 def test_csv_negative_z_row_has_empty_observables():
     # mu=3, tau=1 gives a negative partition function on the first subspace.
-    rows = run_sweep(_spec(tau=1.0, mu_min=3.0, mu_max=3.5, steps=2))
-    fields = render_csv(rows[:1]).strip().split("\n")[1].split(",")
+    block = run_sweep(_spec(tau=1.0, mu_min=3.0, mu_max=3.5, steps=2))[0]
+    fields = render_csv(block).split("\n")[0].split(",")
     assert float(fields[5]) < 0.0  # Z present and negative
     assert fields[6] == "" and fields[7] == ""  # F, S empty
     assert fields[8] != ""  # Cv still defined
@@ -129,14 +144,13 @@ def test_csv_negative_z_row_has_empty_observables():
 
 
 def test_csv_values_carry_twelve_significant_digits():
-    rows = run_sweep(_spec(tau=1.0, mu_min=0.0, mu_max=1.0, steps=2))
-    line = render_csv(rows[1:2]).strip().split("\n")[1]
+    block = run_sweep(_spec(tau=1.0, mu_min=0.0, mu_max=1.0, steps=2))[0]
+    line = render_csv(block).split("\n")[1]
     assert "4.08251436932" in line
 
 
 def test_json_mirrors_fields_with_nulls():
-    rows = run_sweep(_spec(steps=9))
-    payload = json.loads(render_json(rows))
+    payload = json.loads(_document(run_sweep(_spec(steps=9)), "json"))
     assert len(payload) == 9
     exceptional = [entry for entry in payload if entry["region"] == "Exceptional"]
     assert len(exceptional) == 1
@@ -146,23 +160,26 @@ def test_json_mirrors_fields_with_nulls():
 
 
 def test_emission_is_deterministic():
-    spec = _spec(steps=17)
-    assert render_csv(run_sweep(spec)) == render_csv(run_sweep(spec))
-    assert render_json(run_sweep(spec)) == render_json(run_sweep(spec))
+    spec = _spec(steps=17, subspaces=(0, 2))
+    for format in ("csv", "json"):
+        assert _document(run_sweep(spec), format) == _document(run_sweep(spec), format)
 
 
 def test_emit_to_file_and_stream(tmp_path):
-    rows = run_sweep(_spec(steps=5))
+    blocks = run_sweep(_spec(steps=5))
     target = tmp_path / "rows.csv"
-    emit(rows, "csv", target)
-    buffer = io.StringIO()
-    emit(rows, "csv", buffer)
-    assert target.read_text() == buffer.getvalue()
+    emit(blocks, "csv", target)
+    assert target.read_text() == _document(blocks)
 
 
-def test_emit_rejects_unknown_format():
+def test_emit_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         emit([], "yaml", io.StringIO())
+    # Nothing is opened for an unknown format.
+    target = tmp_path / "rows.yaml"
+    with pytest.raises(ValueError):
+        emit([], "yaml", target)
+    assert not target.exists()
 
 
 def test_emit_reports_destination_on_failure(tmp_path):
@@ -196,7 +213,9 @@ def test_figure_dataset_rejects_unknown_id():
 
 
 def test_rows_are_plain_records():
-    row = run_sweep(_spec(steps=2, mu_min=0.0, mu_max=1.0))[0]
+    block = run_sweep(_spec(steps=2, mu_min=0.0, mu_max=1.0))[0]
+    assert isinstance(block, SweepBlock)
+    row = next(block.rows())
     assert isinstance(row, SweepRow)
     assert row.mu_c == 2.0
 
@@ -252,38 +271,85 @@ def render_json_reference(rows):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _byte_identity_rows():
-    # Unbroken, Exceptional and broken rows with a negative Z (F, S None).
-    rows = run_sweep(_spec(tau=1.0, subspaces=(0, 3), steps=33))
+def _block(n, mu_c, mu, tau, regions, z, free_energy, entropy, specific_heat, valid):
+    """A hand-made block; None becomes the NaN that marks an undefined value."""
+
+    def column(values):
+        return np.array([np.nan if value is None else value for value in values])
+
+    region = np.array([REGIONS.index(r) for r in regions], dtype=np.int8)
+    columns = ClosedForms(region, *map(column, (z, free_energy, entropy, specific_heat)), np.array(valid))
+    return SweepBlock(n, mu_c, np.array(mu), tau, columns)
+
+
+def _byte_identity_blocks():
+    # Unbroken, Exceptional and broken rows with a negative Z (F, S None),
+    # from duplicate, out-of-order subspaces.
+    blocks = run_sweep(_spec(tau=1.0, subspaces=(3, 0, 3), steps=33))
     # Huge F and exponent-format values.
-    rows += run_sweep(_spec(tau=1e300, mu_min=0.5, mu_max=3.5, steps=7))
+    blocks += run_sweep(_spec(tau=1e300, mu_min=0.5, mu_max=3.5, steps=7))
     # Z beyond double range, tiny Cv, and an underflowed Z.
-    rows += run_sweep(_spec(tau=1e-3, subspaces=(0, 40), steps=9))
-    unbroken = PhaseRegion.UNBROKEN
-    rows += [
-        # Equal values held by distinct objects, signed zeros, values .12g
-        # prints without ".0", and exponents 12 to 15, where json switches
-        # to positional notation and .12g does not.
-        SweepRow(7, 0.0, 2.0, unbroken, 1.5, -0.0, 1e12, 123456789012345.0, 5e-324, True),
-        SweepRow(7, -0.0, float("2"), unbroken, 1.5, 0.0, -2.5e15, 1e16, -1e-5, False),
-        SweepRow(8, 1e-4, 3.0, PhaseRegion.BROKEN, 1e20, None, None, 0.1 + 0.2, 1 / 3, False),
-        SweepRow(8, 123456789012.5, 3.0, PhaseRegion.EXCEPTIONAL, 9.999999999995, None, None, None, None, False),
+    blocks += run_sweep(_spec(tau=1e-3, subspaces=(0, 40), steps=9))
+    unbroken, broken, exceptional = REGIONS
+    blocks += [
+        # Signed zeros (a -0.0 mu too), values .12g prints without ".0", a
+        # subnormal, and exponents 12 to 16: json writes 12 to 15 in
+        # positional notation and .12g does not.
+        _block(
+            7, 1.5, [0.0, -0.0], 2.0, [unbroken] * 2,
+            [-0.0, 0.0], [1e12, -2.5e15], [123456789012345.0, 1e16], [5e-324, -1e-5], [True, False],
+        ),
+        # The same tau as the block above, held by a distinct object.
+        _block(
+            8, 1e20, [1e-4, 123456789012.5], float("2"), [broken, exceptional],
+            [None, None], [None, None], [0.1 + 0.2, None], [1 / 3, None], [False, False],
+        ),
+        _block(9, 9.999999999995, [999999999999.5], 3.0, [exceptional], [None], [None], [None], [None], [False]),
     ]
-    return rows
+    assert blocks[-3].tau == blocks[-2].tau and blocks[-3].tau is not blocks[-2].tau
+    return blocks
 
 
-def test_renderers_are_byte_identical_to_the_row_renderers(monkeypatch):
-    rows = _byte_identity_rows()
-    csv_text, json_text = render_csv(rows), render_json(rows)
-    assert csv_text == render_csv_reference(rows)
-    assert json_text == render_json_reference(rows)
+def test_renderers_are_byte_identical_to_the_row_renderers(tmp_path, capsys, monkeypatch):
+    blocks = _byte_identity_blocks()
+    rows = [row for block in blocks for row in block.rows()]
+    renderers = (("csv", render_csv_reference, render_csv), ("json", render_json_reference, render_json))
+    for format, reference, render in renderers:
+        expected = reference(rows)
+        target = tmp_path / f"rows.{format}"
+        emit(blocks, format, target)
+        assert target.read_bytes().decode() == expected
+        assert _document(blocks, format) == expected
+        emit(blocks, format)
+        assert capsys.readouterr().out == expected
+        assert render(blocks) == expected
+        # Rendering a block in parts changes nothing.
+        monkeypatch.setattr("spinosc.sweep._PART_ROWS", 5)
+        assert _document(blocks, format) == expected
+        monkeypatch.undo()
+    csv_text, json_text = _document(blocks), _document(blocks, "json")
     assert ",-0," in csv_text and ",,,,false" in csv_text and "e+300" in csv_text
-    # Chunk boundaries inside a grid and between grids change nothing.
-    monkeypatch.setattr("spinosc.sweep._CHUNK_ROWS", 5)
-    assert render_csv(rows) == csv_text
-    assert render_json(rows) == json_text
+    assert '"mu": -0.0' in json_text and "123456789012000.0" in json_text and "5e-324" in json_text
 
 
 def test_empty_render_matches_the_row_renderers():
-    assert render_csv([]) == render_csv_reference([]) == CSV_HEADER + "\n"
-    assert render_json([]) == render_json_reference([]) == "[]\n"
+    assert _document([]) == render_csv_reference([]) == CSV_HEADER + "\n"
+    assert _document([], "json") == render_json_reference([]) == "[]\n"
+
+
+def _json_rule_values():
+    """Seeded doubles over decimal exponents -324 to 308, integers, and edge values."""
+    rng = np.random.default_rng(4)
+    mantissas = rng.uniform(1.0, 10.0, 90_000) * rng.choice([-1.0, 1.0], 90_000)
+    exponents = rng.integers(-324, 309, 90_000)
+    values = [float(f"{m!r}e{e}") for m, e in zip(mantissas.tolist(), exponents.tolist())]
+    # Integers up to 14 digits: ".0" texts below 1e12, exponent texts above.
+    values += rng.integers(-(10**14), 10**14, 9_990).astype(float).tolist()
+    values += [-0.0, 5e-324, 999999999999.5, 1e15, -1e15, 9.99999999999e15, 1e16, 1e-5, 0.0, 2.0]
+    return [value for value in values if np.isfinite(value)]
+
+
+def test_json_number_rule_matches_float_repr():
+    values = _json_rule_values()
+    assert len(values) > 99_000
+    assert _json_numbers(values) == [repr(float(format(x, ".12g"))) for x in values]
