@@ -1,13 +1,17 @@
 """Coupling sweeps over subspaces and deterministic CSV/JSON emission.
 
-run_sweep evaluates each subspace's whole coupling grid with one call of the
-array kernel thermo.closed_forms and returns the columns as one SweepBlock
-per subspace.  Rows near a coalescence point (within ep_window of the
-critical coupling) are tagged Exceptional and carry no observables; undefined
-values serialize as empty CSV fields / JSON nulls, never as sentinel numbers.
-emit writes one block at a time; the renderers format the values a block
-shares (n, tau, mu_c, the mu grid) once and each observable column with one
-`%` operation.  Output is byte-identical for identical inputs.
+run_sweep evaluates the grid in parts of at most _PART_ROWS steps, one call
+of the array kernel thermo.closed_forms per subspace and part, and returns
+the columns as SweepBlocks.  Rows near a coalescence point (within ep_window
+of the critical coupling) are tagged Exceptional and carry no observables;
+undefined values serialize as empty CSV fields / JSON nulls, never as
+sentinel numbers.  emit writes one block at a time, formatting the mu texts
+once per distinct mu array.  A renderer builds a block's text with one `%`
+over its defined observables: each row is a head (n), its mu text and a
+template chosen by its region, valid flag and which observables are defined,
+with tau, mu_c and the words baked in.  A JSON number goes through
+_json_numbers only where its .12g text may differ from it.  Output is
+byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -35,13 +39,12 @@ CSV_HEADER = "n,mu,tau,region,mu_c,Z,F,S,Cv,valid"
 MAX_ROWS = 1_000_000
 """Largest grid a sweep evaluates: distinct subspaces times steps.
 
-Output is written one block of at most _PART_ROWS rows at a time, so peak
-resident memory of a `spinosc sweep`, CSV or JSON alike, grows by about 40
-bytes per row over a ~30 MB start when the rows are spread over many
-subspaces (32-45 MB at 50k-400k rows of 2,000 steps), and by about 90 bytes
-per step of one subspace, whose whole grid the kernel evaluates at once
-(43-119 MB at 50k-1M steps; Python 3.11, numpy 2.4, x86-64).  A sweep at the
-cap stays under ~0.12 GB.  Split a larger grid into several sweeps.
+The kernel evaluates, and emit writes, at most _PART_ROWS steps at a time,
+and the columns wait for emit, so the peak resident memory of a `spinosc
+sweep` grows by about 35-55 bytes per row over a ~30 MB start (44 MB at
+400k rows of 2,000 steps; one subspace of 1M steps 79 MB as CSV, 84 MB as
+JSON; Python 3.11, numpy 2.4, x86-64).  Split a larger grid into several
+sweeps.
 """
 
 
@@ -101,7 +104,7 @@ class SweepRow(NamedTuple):
 
 
 class SweepBlock(NamedTuple):
-    """One subspace's sweep as columns: the kernel's output over the mu grid."""
+    """One subspace's sweep over one part of the mu grid: the kernel's output columns."""
 
     n: int
     mu_c: float
@@ -127,18 +130,24 @@ class SweepBlock(NamedTuple):
         )
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepBlock]:
-    """Evaluate the grid: one block per distinct subspace, in ascending n.
+_PART_ROWS = 1 << 14
+"""Most steps the kernel evaluates, and a renderer formats, at a time."""
 
-    Every block shares the one mu array; output is fully deterministic.
+
+def run_sweep(spec: SweepSpec) -> list[SweepBlock]:
+    """Evaluate the grid: per distinct subspace in ascending n, one block per part of the mu grid.
+
+    A part is at most _PART_ROWS steps; the blocks of a part share its mu array.
     """
     mu = spec.mu_min + np.arange(spec.steps) * ((spec.mu_max - spec.mu_min) / (spec.steps - 1))
+    parts = [mu[start : start + _PART_ROWS] for start in range(0, spec.steps, _PART_ROWS)]
     tau = float(spec.tau)
     blocks = []
     for n in sorted(set(spec.subspaces)):
         mu_c = critical_coupling(ModelParams(spec.alpha, spec.homega, 0.0), n)
-        columns = closed_forms(spec.alpha, spec.homega, n, mu, tau, np.abs(mu - mu_c) <= spec.ep_window)
-        blocks.append(SweepBlock(n, mu_c, mu, tau, columns))
+        for part in parts:
+            columns = closed_forms(spec.alpha, spec.homega, n, part, tau, np.abs(part - mu_c) <= spec.ep_window)
+            blocks.append(SweepBlock(n, mu_c, part, tau, columns))
     return blocks
 
 
@@ -184,82 +193,103 @@ def _json_numbers(values: list[float]) -> list[str]:
     return [t if "." in t or "e" in t else t + ".0" for t in text.split("\n")[:-1]]
 
 
-def _observable(values: np.ndarray, numbers, undefined: str) -> list[str]:
-    """numbers() of a column's defined entries; `undefined` where NaN stands."""
-    defined = ~np.isnan(values)
-    texts = numbers(values[defined].tolist())
-    if len(texts) == len(values):
-        return texts
-    text = iter(texts).__next__
-    return [text() if flag else undefined for flag in defined.tolist()]
-
-
 _JSON_KEYS = ("n", "mu", "tau", "region", "mu_c", "Z", "F", "S", "Cv", "valid")
-# One record as json.dumps(payload, indent=2) lays out a list of flat dicts.
-_JSON_RECORD = "  {\n" + ",\n".join(f'    "{key}": %s' for key in _JSON_KEYS) + "\n  }"
 _FLAGS = ("false", "true")
+_DIGITS = (27, 9, 3, 1)  # a row's Z, F, S and Cv kinds as one base-3 number
 
 
-def _fields(block: SweepBlock, numbers, undefined: str, regions: list[str]) -> zip:
-    """Per row: the mu, region, Z, F, S, Cv and valid texts of the block."""
+def _render(block: SweepBlock, mu_texts: list[str], kinds: np.ndarray, args: list, head: str, sep: str, template) -> str:
+    """The block's rows, each head + mu text + its template, filled by one % from args.
+
+    kinds[i, j] is 0 (undefined), 1 (%.12g) or 2 (%s) for row i's observable
+    j.  template(region, valid, kinds) serves every row with that key; sep
+    and the next row's head follow it, and are cut after the last row.
+    """
     columns = block.columns
-    return zip(
-        numbers(block.mu.tolist()),
-        map(regions.__getitem__, columns.region.tolist()),
-        *(_observable(values, numbers, undefined) for values in columns[1:5]),
-        map(_FLAGS.__getitem__, columns.valid.tolist()),
-    )
+    keys = (columns.region.astype(np.intp) * 162 + columns.valid * 81 + kinds @ _DIGITS).tolist()
+    templates = {
+        key: template(REGIONS[key // 162].value, _FLAGS[key // 81 % 2], [key // d % 3 for d in _DIGITS]) + sep + head
+        for key in set(keys)
+    }
+    pieces = [head] * (2 * len(keys) + 1)
+    pieces[1::2] = mu_texts
+    pieces[2::2] = map(templates.__getitem__, keys)
+    pieces[-1] = pieces[-1][: -len(sep + head)]
+    return "".join(pieces) % tuple(args)
 
 
-def render_csv(block: SweepBlock | list[SweepBlock]) -> str:
-    """The CSV lines of one block; of a list of blocks, as run_sweep returns, the whole document."""
+def render_csv(block: SweepBlock | list[SweepBlock], mu_texts: list[str] | None = None) -> str:
+    """The CSV lines of one block; of a list of blocks, as run_sweep returns, the whole document.
+
+    mu_texts, if given, are the block's mu values as _csv_numbers formats them.
+    """
     if not isinstance(block, SweepBlock):
         return _document(block, "csv")
+    if mu_texts is None:
+        mu_texts = _csv_numbers(block.mu.tolist())
     tau, mu_c = _csv_numbers([block.tau, block.mu_c])
-    # The block's tau and mu_c are the region's neighbours on every line.
-    regions = [f"{tau},{region.value},{mu_c}" for region in REGIONS]
-    lines = map(",".join, _fields(block, _csv_numbers, "", regions))
-    return f"{block.n}," + f"\n{block.n},".join(lines) + "\n"
+    values = np.column_stack(block.columns[1:5])
+    defined = ~np.isnan(values)
+
+    def template(region, valid, kinds):
+        return ",".join(["", tau, region, mu_c, *(("", "%.12g")[kind] for kind in kinds), valid]) + "\n"
+
+    return _render(block, mu_texts, defined, values[defined].tolist(), f"{block.n},", "", template)
 
 
-def render_json(block: SweepBlock | list[SweepBlock]) -> str:
+def render_json(block: SweepBlock | list[SweepBlock], mu_texts: list[str] | None = None) -> str:
     """The JSON records of one block, joined by ',\\n'; of a list of blocks, the whole document.
 
     The document is the text of json.dumps(payload, indent=2), written
-    without the pure-Python encoder.
+    without the pure-Python encoder.  mu_texts, if given, are the block's mu
+    values as _json_numbers formats them.
     """
     if not isinstance(block, SweepBlock):
         return _document(block, "json")
+    if mu_texts is None:
+        mu_texts = _json_numbers(block.mu.tolist())
     tau, mu_c = _json_numbers([block.tau, block.mu_c])
-    record = _JSON_RECORD % (block.n, "%s", tau, "%s", mu_c, "%s", "%s", "%s", "%s", "%s")
-    regions = [f'"{region.value}"' for region in REGIONS]
-    return ",\n".join(map(record.__mod__, _fields(block, _json_numbers, "null", regions)))
+    values = np.column_stack(block.columns[1:5])
+    defined = ~np.isnan(values)
+    size = np.abs(values)
+    # Every value whose .12g text may not be its JSON number goes through
+    # _json_numbers: near-integers (the ".0" rule, ±0 too; the test holds for
+    # every |x| >= 5e10, so exponents 12 to 15 as well) and subnormals.
+    # Flagging a value too many costs time only; missing one changes bytes.
+    slow = (np.abs(values - np.rint(values)) <= 1e-11 * size) | (size < 1e-307)
+    args = values[defined].tolist()
+    at = np.flatnonzero(slow[defined]).tolist()
+    if at:
+        for i, text in zip(at, _json_numbers([args[i] for i in at])):
+            args[i] = text
 
+    def template(region, valid, kinds):
+        texts = (tau, f'"{region}"', mu_c, *(("null", "%.12g", "%s")[kind] for kind in kinds), valid)
+        return "".join(f',\n    "{key}": {text}' for key, text in zip(_JSON_KEYS[2:], texts)) + "\n  }"
 
-_PART_ROWS = 1 << 14
-"""Rows rendered at a time; bounds the texts alive when a subspace has many steps."""
-
-
-def _parts(blocks: Iterable[SweepBlock]) -> Iterator[SweepBlock]:
-    """The blocks cut into consecutive blocks of at most _PART_ROWS rows."""
-    for block in blocks:
-        for start in range(0, len(block.mu), _PART_ROWS):
-            rows = slice(start, start + _PART_ROWS)
-            yield block._replace(mu=block.mu[rows], columns=ClosedForms(*(column[rows] for column in block.columns)))
+    head = f'  {{\n    "n": {block.n},\n    "mu": '
+    return _render(block, mu_texts, defined.astype(np.intp) + slow, args, head, ",\n", template)
 
 
 def _write(blocks: Iterable[SweepBlock], format: str, handle) -> None:
-    if format == "csv":
+    csv = format == "csv"
+    render, numbers, between = (render_csv, _csv_numbers, "") if csv else (render_json, _json_numbers, ",\n")
+    if csv:
         handle.write(CSV_HEADER + "\n")
-        for block in _parts(blocks):
-            handle.write(render_csv(block))
-        return
-    opening = "[\n"
-    for block in _parts(blocks):
-        handle.write(opening)
-        handle.write(render_json(block))
-        opening = ",\n"
-    handle.write("[]\n" if opening == "[\n" else "\n]\n")
+    separator = between if csv else "[\n"
+    # A one-entry memo of mu texts: the blocks of one grid part share its mu
+    # array.  It holds the array, so the identity test cannot see a reused id.
+    mu = texts = None
+    for block in blocks:
+        if not len(block.mu):
+            continue
+        if block.mu is not mu:
+            mu, texts = block.mu, numbers(block.mu.tolist())
+        handle.write(separator)
+        handle.write(render(block, texts))
+        separator = between
+    if not csv:
+        handle.write("[]\n" if separator == "[\n" else "\n]\n")
 
 
 def _document(blocks: list[SweepBlock], format: str) -> str:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from spinosc.cli import main
 from spinosc.model import ModelParams
 from spinosc.spectral import PhaseRegion, classify
 from spinosc.sweep import (
@@ -278,7 +279,7 @@ def _block(n, mu_c, mu, tau, regions, z, free_energy, entropy, specific_heat, va
         return np.array([np.nan if value is None else value for value in values])
 
     region = np.array([REGIONS.index(r) for r in regions], dtype=np.int8)
-    columns = ClosedForms(region, *map(column, (z, free_energy, entropy, specific_heat)), np.array(valid))
+    columns = ClosedForms(region, *map(column, (z, free_energy, entropy, specific_heat)), np.array(valid, dtype=bool))
     return SweepBlock(n, mu_c, np.array(mu), tau, columns)
 
 
@@ -313,6 +314,12 @@ def _byte_identity_blocks():
 def test_renderers_are_byte_identical_to_the_row_renderers(tmp_path, capsys, monkeypatch):
     blocks = _byte_identity_blocks()
     rows = [row for block in blocks for row in block.rows()]
+    # The same sweeps evaluated and rendered in grid parts of 5 steps.
+    monkeypatch.setattr("spinosc.sweep._PART_ROWS", 5)
+    parts = _byte_identity_blocks()
+    monkeypatch.undo()
+    assert len(parts) > len(blocks)
+    assert [row for block in parts for row in block.rows()] == rows
     renderers = (("csv", render_csv_reference, render_csv), ("json", render_json_reference, render_json))
     for format, reference, render in renderers:
         expected = reference(rows)
@@ -323,10 +330,7 @@ def test_renderers_are_byte_identical_to_the_row_renderers(tmp_path, capsys, mon
         emit(blocks, format)
         assert capsys.readouterr().out == expected
         assert render(blocks) == expected
-        # Rendering a block in parts changes nothing.
-        monkeypatch.setattr("spinosc.sweep._PART_ROWS", 5)
-        assert _document(blocks, format) == expected
-        monkeypatch.undo()
+        assert _document(parts, format) == expected
     csv_text, json_text = _document(blocks), _document(blocks, "json")
     assert ",-0," in csv_text and ",,,,false" in csv_text and "e+300" in csv_text
     assert '"mu": -0.0' in json_text and "123456789012000.0" in json_text and "5e-324" in json_text
@@ -335,6 +339,15 @@ def test_renderers_are_byte_identical_to_the_row_renderers(tmp_path, capsys, mon
 def test_empty_render_matches_the_row_renderers():
     assert _document([]) == render_csv_reference([]) == CSV_HEADER + "\n"
     assert _document([], "json") == render_json_reference([]) == "[]\n"
+
+
+def test_empty_block_renders_nothing():
+    empty = _block(7, 1.5, [], 2.0, [], [], [], [], [], [])
+    assert render_csv(empty) == render_json(empty) == ""
+    blocks = run_sweep(_spec(steps=3))
+    for format in ("csv", "json"):
+        assert _document([empty, *blocks, empty], format) == _document(blocks, format)
+    assert _document([empty], "json") == "[]\n"
 
 
 def _json_rule_values():
@@ -353,3 +366,76 @@ def test_json_number_rule_matches_float_repr():
     values = _json_rule_values()
     assert len(values) > 99_000
     assert _json_numbers(values) == [repr(float(format(x, ".12g"))) for x in values]
+
+
+def _property_blocks():
+    """Blocks whose observables hold every kind of value the JSON fast path must tell apart.
+
+    Seeded: the JSON rule values, near-integers k (1 +- u 1e-11) up to 12
+    digits, values across [1e11, 1e16], subnormals up to 1e-307 and signed
+    zeros, with NaN holes, in all three regions with both valid flags.
+    Blocks 2k and 2k + 1 share their mu array, as the blocks of a grid part do.
+    """
+    rng = np.random.default_rng(6)
+    signs = rng.choice([-1.0, 1.0], 12_000)
+    values = _json_rule_values()
+    values += (np.floor(10 ** rng.uniform(0, 12, 6_000)) * (1 + rng.uniform(-1, 1, 6_000) * 1e-11) * signs[:6_000]).tolist()
+    values += (10 ** rng.uniform(11, 16, 4_000) * signs[6_000:10_000]).tolist()
+    values += (np.ldexp(rng.uniform(1, 2, 1_996), rng.integers(-1074, -1019, 1_996)) * signs[10_000:11_996]).tolist()
+    values += [0.0, -0.0, 1e-307, -1e-307]
+    values = np.array(values)
+    rng.shuffle(values)
+    assert len(values) == 111_863
+    observables = np.append(values, values[:1]).reshape(-1, 4)
+    observables[rng.random(observables.shape) < 0.15] = np.nan
+    rows = len(observables)
+    region = rng.integers(0, 3, rows).astype(np.int8)
+    valid = rng.random(rows) < 0.5
+    blocks, size = [], 2_000
+    for n, start in enumerate(range(0, rows, size)):
+        stop = min(start + size, rows)
+        if n % 2 == 0:
+            mu = values[start:stop]
+        tau, mu_c = values[n], values[-n - 1]
+        columns = ClosedForms(region[start:stop], *observables[start:stop].T, valid[start:stop])
+        blocks.append(SweepBlock(n, mu_c, mu[: stop - start], tau, columns))
+    return blocks
+
+
+def _first_difference(actual, expected):
+    """None for equal texts, else the first differing line pair: cheap to report where a diff of megabytes is not."""
+    if actual == expected:
+        return None
+    lines = enumerate(zip(actual.split("\n"), expected.split("\n")))
+    return next(((i, a, b) for i, (a, b) in lines if a != b), ("lengths", len(actual), len(expected)))
+
+
+def test_fast_renderers_match_the_row_renderers_on_every_kind_of_value():
+    blocks = _property_blocks()
+    rows = [row for block in blocks for row in block.rows()]
+    assert {(row.region, row.valid) for row in rows} == {(region, flag) for region in REGIONS for flag in (False, True)}
+    for format, reference, render, join in (
+        ("csv", render_csv_reference, render_csv, lambda texts: CSV_HEADER + "\n" + "".join(texts)),
+        ("json", render_json_reference, render_json, lambda texts: "[\n" + ",\n".join(texts) + "\n]\n"),
+    ):
+        expected = reference(rows)
+        assert _first_difference(_document(blocks, format), expected) is None
+        assert _first_difference(join(map(render, blocks)), expected) is None
+
+
+def test_json_observables_bypass_the_number_rule_on_the_unbroken_grid(tmp_path, monkeypatch):
+    # 50,025 Unbroken rows: no observable is near an integer or subnormal,
+    # so _json_numbers sees only the mu grid once and each block's tau and
+    # mu_c.  Routing every value through it would keep the bytes but fail here.
+    calls = []
+
+    def counted(values):
+        calls.append(values)
+        return _json_numbers(values)
+
+    monkeypatch.setattr("spinosc.sweep._json_numbers", counted)
+    subspaces = [str(n) for n in range(25)]
+    argv = ["--alpha", "41", "sweep", "--subspaces", *subspaces, "--steps", "2001", "--tau", "5", "--format", "json"]
+    assert main([*argv, "--output", str(tmp_path / "sweep.json")]) == 0
+    blocks = run_sweep(_spec(alpha=41.0, subspaces=tuple(range(25)), steps=2001))
+    assert calls == [blocks[0].mu.tolist()] + [[5.0, block.mu_c] for block in blocks]
