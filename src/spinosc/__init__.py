@@ -1,114 +1,15 @@
 """Non-Hermitian spin-oscillator ladder model: block Hamiltonians, spectra,
-exceptional points, metric operators, and metric-weighted thermodynamics."""
+exceptional points, metric operators, and metric-weighted thermodynamics.
 
-from .fullspace import (
-    BlockCheck,
-    SymmetryReport,
-    TruncatedSpace,
-    assemble_full,
-    block_decomposition_check,
-    symmetry_report,
-)
-from .metric import (
-    BiorthoSystem,
-    ExceptionalPoint,
-    MetricDiagnostics,
-    MetricMatrix,
-    biortho_system,
-    eta,
-    eta_from_vectors,
-    fix_gauge_balanced,
-    verify_metric,
-)
-from .model import ModelParams, adjoint_block, build_block, sigma_z_residual
-from .smallmat import (
-    ConvergenceFailure,
-    DefectiveMatrix,
-    Eigenpair2,
-    eig2,
-    eigN,
-    expm2,
-)
-from .spectral import (
-    NoSignChange,
-    PhaseRegion,
-    Spectrum2,
-    block_spectrum,
-    classify,
-    critical_coupling,
-    discriminant,
-    locate_ep_numeric,
-)
-from .sweep import SweepBlock, SweepRow, SweepSpec, emit, figure_dataset, run_sweep
-from .thermo import (
-    DerivativeCheck,
-    StencilCrossesSingularity,
-    ThermoPoint,
-    entropy,
-    finite_diff_check,
-    free_energy,
-    log_partition_derivatives,
-    partition_function,
-    partition_function_closed,
-    specific_heat,
-    thermo_point,
-)
-from .verify import CheckResult, run_checks
+The top level exports the names of the README's library sketch; everything
+else is imported from its module (spinosc.sweep, spinosc.verify, ...).
+"""
+
+from .metric import eta
+from .model import ModelParams
+from .spectral import block_spectrum, critical_coupling
+from .thermo import thermo_point
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ModelParams",
-    "build_block",
-    "adjoint_block",
-    "sigma_z_residual",
-    "Eigenpair2",
-    "DefectiveMatrix",
-    "ConvergenceFailure",
-    "eig2",
-    "expm2",
-    "eigN",
-    "PhaseRegion",
-    "Spectrum2",
-    "NoSignChange",
-    "discriminant",
-    "classify",
-    "block_spectrum",
-    "critical_coupling",
-    "locate_ep_numeric",
-    "ExceptionalPoint",
-    "BiorthoSystem",
-    "MetricMatrix",
-    "MetricDiagnostics",
-    "biortho_system",
-    "fix_gauge_balanced",
-    "eta",
-    "eta_from_vectors",
-    "verify_metric",
-    "StencilCrossesSingularity",
-    "ThermoPoint",
-    "DerivativeCheck",
-    "partition_function",
-    "partition_function_closed",
-    "log_partition_derivatives",
-    "free_energy",
-    "entropy",
-    "specific_heat",
-    "thermo_point",
-    "finite_diff_check",
-    "TruncatedSpace",
-    "BlockCheck",
-    "SymmetryReport",
-    "assemble_full",
-    "block_decomposition_check",
-    "symmetry_report",
-    "SweepSpec",
-    "SweepRow",
-    "SweepBlock",
-    "run_sweep",
-    "emit",
-    "figure_dataset",
-    "CheckResult",
-    "run_checks",
-    "__version__",
-]
+__all__ = ["ModelParams", "block_spectrum", "critical_coupling", "eta", "thermo_point"]

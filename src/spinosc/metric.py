@@ -125,12 +125,18 @@ def fix_gauge_balanced(b: BiorthoSystem) -> BiorthoSystem:
     return _with_overlaps(gauged)
 
 
-def _eta_closed(params: ModelParams, n: int) -> tuple[np.ndarray, PhaseRegion]:
+def _classify_regular(params: ModelParams, n: int) -> PhaseRegion:
+    """classify(params, n); raises ExceptionalPoint at the coalescence point."""
     region = classify(params, n)
     if region is PhaseRegion.EXCEPTIONAL:
         raise ExceptionalPoint(
             f"metric is singular at mu = {params.mu} (coalescence for subspace n = {n})"
         )
+    return region
+
+
+def _eta_closed(params: ModelParams, n: int) -> tuple[np.ndarray, PhaseRegion]:
+    region = _classify_regular(params, n)
     if params.mu == 0.0:
         # Hermitian limit: the closed forms reduce to the identity with no
         # 0/0; return it exactly instead of going through eigenvectors.
@@ -165,10 +171,7 @@ def eta_from_vectors(params: ModelParams, n: int) -> np.ndarray:
     broken region.
     """
     n = check_subspace_index(n)
-    if classify(params, n) is PhaseRegion.EXCEPTIONAL:
-        raise ExceptionalPoint(
-            f"metric is singular at mu = {params.mu} (coalescence for subspace n = {n})"
-        )
+    _classify_regular(params, n)
     system = fix_gauge_balanced(biortho_system(build_block(params, n)))
     out = np.zeros((2, 2), dtype=complex)
     for p in system.pairs:

@@ -149,7 +149,7 @@ def expm2(m, scale: float) -> np.ndarray:
     q_sq = traceless[0, 0] ** 2 + traceless[0, 1] * traceless[1, 0]
 
     fro_sq = float(np.sum(np.abs(m) ** 2))
-    if abs(q_sq) < 1e-12 * max(1.0, fro_sq):
+    if abs(q_sq) < ep_tolerance(fro_sq):
         return _expm_taylor(scale * m)
 
     q = np.sqrt(complex(q_sq))

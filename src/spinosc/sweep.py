@@ -2,16 +2,16 @@
 
 run_sweep evaluates the grid in parts of at most _PART_ROWS steps, one call
 of the array kernel thermo.closed_forms per subspace and part, and returns
-the columns as SweepBlocks.  Rows near a coalescence point (within ep_window
-of the critical coupling) are tagged Exceptional and carry no observables;
-undefined values serialize as empty CSV fields / JSON nulls, never as
-sentinel numbers.  emit writes one block at a time, formatting the mu texts
-once per distinct mu array.  A renderer builds a block's text with one `%`
-over its defined observables: each row is a head (n), its mu text and a
-template chosen by its region, valid flag and which observables are defined,
-with tau, mu_c and the words baked in.  A JSON number goes through
-_json_numbers only where its .12g text may differ from it.  Output is
-byte-identical for identical inputs.
+the columns as SweepBlocks, the form in which emit and the renderers take a
+sweep.  Rows near a coalescence point (within ep_window of the critical
+coupling) are tagged Exceptional and carry no observables; undefined values
+serialize as empty CSV fields / JSON nulls, never as sentinel numbers.  emit
+writes one block at a time, formatting the mu texts once per distinct mu
+array.  A renderer builds a block's text with one `%` over its defined
+observables: each row is a head (n), its mu text and a template chosen by
+its region, valid flag and which observables are defined, with tau, mu_c and
+the words baked in.  A JSON number goes through _json_numbers only where its
+.12g text may differ from it.  Output is byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -20,19 +20,18 @@ import io
 import math
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import ModelParams, check_subspace_index
-from .spectral import PhaseRegion, critical_coupling, discriminant
+from .spectral import critical_coupling, discriminant
 from .thermo import REGIONS, ClosedForms, closed_forms
 
-__all__ = ["SweepSpec", "SweepRow", "SweepBlock", "run_sweep", "emit", "figure_dataset", "CSV_HEADER", "MAX_ROWS"]
+__all__ = ["SweepSpec", "SweepBlock", "run_sweep", "emit", "CSV_HEADER", "MAX_ROWS"]
 
 CSV_HEADER = "n,mu,tau,region,mu_c,Z,F,S,Cv,valid"
 
@@ -90,19 +89,6 @@ class SweepSpec:
         object.__setattr__(self, "subspaces", tuple(int(n) for n in self.subspaces))
 
 
-class SweepRow(NamedTuple):
-    n: int
-    mu: float
-    tau: float
-    region: PhaseRegion
-    mu_c: float
-    z: float | None
-    free_energy: float | None
-    entropy: float | None
-    specific_heat: float | None
-    valid: bool
-
-
 class SweepBlock(NamedTuple):
     """One subspace's sweep over one part of the mu grid: the kernel's output columns."""
 
@@ -111,23 +97,6 @@ class SweepBlock(NamedTuple):
     mu: np.ndarray
     tau: float
     columns: ClosedForms
-
-    def rows(self) -> Iterator[SweepRow]:
-        """The block's rows in mu order; None where NaN marks an undefined value."""
-        columns = self.columns
-        observables = ([None if math.isnan(v) else v for v in values.tolist()] for values in columns[1:5])
-        return map(
-            SweepRow._make,
-            zip(
-                repeat(self.n),
-                self.mu.tolist(),
-                repeat(self.tau),
-                map(REGIONS.__getitem__, columns.region.tolist()),
-                repeat(self.mu_c),
-                *observables,
-                columns.valid.tolist(),
-            ),
-        )
 
 
 _PART_ROWS = 1 << 14
@@ -149,28 +118,6 @@ def run_sweep(spec: SweepSpec) -> list[SweepBlock]:
             columns = closed_forms(spec.alpha, spec.homega, n, part, tau, np.abs(part - mu_c) <= spec.ep_window)
             blocks.append(SweepBlock(n, mu_c, part, tau, columns))
     return blocks
-
-
-def figure_dataset(fig: int, spec: SweepSpec | None = None) -> list[SweepRow]:
-    """Sweep sufficient to re-plot one observable panel set, as rows.
-
-    fig 1 -> free energy, 2 -> entropy, 3 -> specific heat.  The default spec
-    covers subspaces (0, 1, 2, 5) over mu in [0, 4] at tau = 5, where the
-    selected observable is populated on every non-exceptional row.
-    """
-    if fig not in (1, 2, 3):
-        raise ValueError(f"figure id must be 1, 2 or 3, got {fig!r}")
-    if spec is None:
-        spec = SweepSpec(
-            alpha=5.0,
-            homega=1.0,
-            tau=5.0,
-            subspaces=(0, 1, 2, 5),
-            mu_min=0.0,
-            mu_max=4.0,
-            steps=161,
-        )
-    return [row for block in run_sweep(spec) for row in block.rows()]
 
 
 def _csv_numbers(values: list[float]) -> list[str]:

@@ -22,6 +22,9 @@ subspace.  The row-by-row scalar version of the same formulas lives in the
 tests as the reference the kernel is held to.  The matrix trace itself
 (partition_function, free_energy) is the oracle the closed forms are
 validated against in the verification suite and the tests.
+finite_diff_check differentiates the matrix-route ln Z numerically and
+compares it with d lnZ/d tau = U/tau^2 and d2 lnZ/d tau2 derived from the
+kernel's F, S and C_v, so that oracle checks the production S and C_v.
 
 The broken-region Z can be negative (cos factor) at small tau; points there
 are flagged rather than clamped, F and S become undefined, and C_v is still
@@ -43,7 +46,7 @@ import numpy as np
 from .metric import ExceptionalPoint, eta
 from .model import ModelParams, build_block, check_subspace_index
 from .smallmat import ep_tolerance, expm2
-from .spectral import PhaseRegion, classify, discriminant
+from .spectral import PhaseRegion
 
 __all__ = [
     "StencilCrossesSingularity",
@@ -53,8 +56,6 @@ __all__ = [
     "ClosedForms",
     "closed_forms",
     "partition_function",
-    "partition_function_closed",
-    "log_partition_derivatives",
     "free_energy",
     "entropy",
     "specific_heat",
@@ -197,44 +198,13 @@ def _point(params: ModelParams, n: int, tau: float):
     return REGIONS[columns.region[0]], *(None if math.isnan(v) else v for v in values)
 
 
-def _singular(params: ModelParams, n: int) -> ExceptionalPoint:
-    return ExceptionalPoint(f"observables are singular at mu = {params.mu} (coalescence for subspace n = {n})")
-
-
 def _defined(params: ModelParams, n: int, tau: float):
     """(Z, F, S, C_v) of one point; raises ExceptionalPoint at the coalescence point."""
     n = check_subspace_index(n)
     region, *values = _point(params, n, _check_tau(tau))
     if region is PhaseRegion.EXCEPTIONAL:
-        raise _singular(params, n)
+        raise ExceptionalPoint(f"observables are singular at mu = {params.mu} (coalescence for subspace n = {n})")
     return values
-
-
-def partition_function_closed(params: ModelParams, n: int, tau: float) -> float | None:
-    """Closed scalar form of Z, None outside double range; the matrix route agrees to 1e-10 relative."""
-    return _defined(params, n, tau)[0]
-
-
-def log_partition_derivatives(params: ModelParams, n: int, tau: float) -> tuple[float, float]:
-    """Analytic d(ln Z)/d tau and d^2(ln Z)/d tau^2 (broken region uses ln|Z|)."""
-    n = check_subspace_index(n)
-    tau = _check_tau(tau)
-    region = classify(params, n)
-    if region is PhaseRegion.EXCEPTIONAL:
-        raise _singular(params, n)
-    center = 0.5 * (2 * n + 1) * params.homega
-    b = 0.5 * math.sqrt(abs(discriminant(params, n)))  # D/2 or Dt/2
-    if region is PhaseRegion.UNBROKEN:
-        t = math.tanh(b / tau)
-        sech_sq = 1.0 / math.cosh(b / tau) ** 2
-        d1 = center / tau**2 - (b / tau**2) * t
-        d2 = -2.0 * center / tau**3 + 2.0 * b * t / tau**3 + b**2 * sech_sq / tau**4
-        return d1, d2
-    t = math.tan(b / tau)
-    sec_sq = 1.0 + t * t
-    d1 = center / tau**2 + (b / tau**2) * t
-    d2 = -2.0 * center / tau**3 - 2.0 * b * t / tau**3 - b**2 * sec_sq / tau**4
-    return d1, d2
 
 
 def free_energy(params: ModelParams, n: int, tau: float) -> float | None:
@@ -269,11 +239,14 @@ def thermo_point(params: ModelParams, n: int, tau: float) -> ThermoPoint:
 
 
 def finite_diff_check(params: ModelParams, n: int, tau: float, step: float) -> DerivativeCheck:
-    """Centered-difference ln Z derivatives against the analytic forms.
+    """Centered-difference ln Z derivatives against the kernel's S and C_v.
 
-    Uses the matrix-route Z at the three stencil points.  Raises
+    The differences take the matrix-route Z at the three stencil points; the
+    analytic derivatives come from the kernel's F, S and C_v at tau, as
+    d1 = U/tau^2 = (F/tau + S)/tau and d2 = (C_v/tau - 2 d1)/tau.  Raises
     StencilCrossesSingularity when any stencil Z is nonpositive (the log is
-    about to cross a cos zero), ValueError when tau - step leaves the domain.
+    about to cross a cos zero), OverflowError where the kernel leaves F, S or
+    C_v undefined, ValueError when tau - step leaves the domain.
     """
     n = check_subspace_index(n)
     tau = _check_tau(tau)
@@ -289,7 +262,11 @@ def finite_diff_check(params: ModelParams, n: int, tau: float, step: float) -> D
     lo, mid, hi = (math.log(z) for z in samples)
     d1_num = (hi - lo) / (2.0 * step)
     d2_num = (hi - 2.0 * mid + lo) / step**2
-    d1_ana, d2_ana = log_partition_derivatives(params, n, tau)
+    _, f, s, cv = _defined(params, n, tau)
+    if None in (f, s, cv):
+        raise OverflowError(f"F, S or C_v is undefined at mu = {params.mu}, n = {n}, tau = {tau}")
+    d1_ana = (f / tau + s) / tau
+    d2_ana = (cv / tau - 2.0 * d1_ana) / tau
     rel1 = abs(d1_num - d1_ana) / max(abs(d1_ana), 1e-300)
     rel2 = abs(d2_num - d2_ana) / max(abs(d2_ana), 1e-300)
     return DerivativeCheck(d1_ana, d1_num, d2_ana, d2_num, rel1, rel2)

@@ -25,14 +25,15 @@ from spinosc.spectral import (
     critical_coupling,
     locate_ep_numeric,
 )
-from spinosc.sweep import figure_dataset
 from spinosc.thermo import (
     entropy,
     finite_diff_check,
     partition_function,
-    partition_function_closed,
     specific_heat,
+    thermo_point,
 )
+
+from rowview import cli_rows
 
 ALPHA = 5.0
 HOMEGA = 1.0
@@ -146,7 +147,7 @@ def test_criterion_4_partition_dual_route():
                 total += 1
                 raw = complex(np.trace(expm2(h, -1.0 / float(tau)) @ g))
                 worst_imag = max(worst_imag, abs(raw.imag) / max(abs(raw), 1e-300))
-                z_closed = partition_function_closed(params, n, float(tau))
+                z_closed = thermo_point(params, n, float(tau)).z
                 # Relative comparison is meaningless straddling a cosine zero.
                 if disc < 0.0 and abs(math.cos(0.5 * math.sqrt(-disc) / tau)) < 1e-2:
                     continue
@@ -228,7 +229,7 @@ def test_criterion_6_figure_behavior():
                 problems.append(f"|F| not growing at n={n} side={side:+g}")
 
     # (b) specific-heat sign split across the full figure dataset.
-    for row in figure_dataset(3):
+    for row in cli_rows("fig", "--id", "3"):
         if row.region is PhaseRegion.UNBROKEN and row.specific_heat < 0.0:
             problems.append(f"negative Cv in unbroken row mu={row.mu}")
         if row.region is PhaseRegion.BROKEN and row.valid and row.specific_heat > 0.0:

@@ -142,6 +142,15 @@ def test_verify_passes_on_defaults():
     assert "FAIL" not in result.stdout
 
 
+def test_verify_skips_closed_z_outside_double_range():
+    # At alpha = 1000 the closed Z of some dual-route points overflows; they
+    # are skipped rather than compared.
+    result = run_cli("--alpha", "1000", "verify", "--cutoff", "8")
+    assert result.returncode in (0, 4)
+    assert "Traceback" not in result.stderr
+    assert "partition function dual route" in result.stdout
+
+
 @pytest.mark.parametrize("tau", ["1e-160", "1e-320"])
 def test_thermo_at_tiny_tau_broken_is_undefined(tau):
     result = run_cli("thermo", "--n", "0", "--mu", "3", "--tau", tau, python_flags=("-W", "error::RuntimeWarning"))

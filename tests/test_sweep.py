@@ -11,16 +11,16 @@ from spinosc.sweep import (
     CSV_HEADER,
     MAX_ROWS,
     SweepBlock,
-    SweepRow,
     SweepSpec,
     _json_numbers,
     emit,
-    figure_dataset,
     render_csv,
     render_json,
     run_sweep,
 )
 from spinosc.thermo import REGIONS, ClosedForms, thermo_point
+
+from rowview import SweepRow, block_rows, cli_rows, rows_of, sweep_rows
 
 
 def _spec(**overrides):
@@ -37,10 +37,6 @@ def _spec(**overrides):
     return SweepSpec(**base)
 
 
-def _rows(spec):
-    return [row for block in run_sweep(spec) for row in block.rows()]
-
-
 def _document(blocks, format="csv"):
     buffer = io.StringIO()
     emit(blocks, format, buffer)
@@ -48,7 +44,7 @@ def _document(blocks, format="csv"):
 
 
 def test_grid_hits_coalescence_row():
-    rows = _rows(_spec())
+    rows = sweep_rows(_spec())
     at_two = [r for r in rows if r.mu == 2.0]
     assert len(at_two) == 1
     assert at_two[0].region is PhaseRegion.EXCEPTIONAL
@@ -60,14 +56,14 @@ def test_rows_ordered_and_complete():
     blocks = run_sweep(_spec(subspaces=(1, 0, 1)))
     assert [block.n for block in blocks] == [0, 1]
     assert blocks[0].mu is blocks[1].mu
-    rows = [row for block in blocks for row in block.rows()]
+    rows = rows_of(blocks)
     assert len(rows) == 18
     keys = [(r.n, r.mu) for r in rows]
     assert keys == sorted(keys)
 
 
 def test_endpoint_rows_match_thermo_point():
-    rows = _rows(_spec(tau=1.0, mu_min=0.0, mu_max=1.0, steps=2))
+    rows = sweep_rows(_spec(tau=1.0, mu_min=0.0, mu_max=1.0, steps=2))
     for row, mu in zip(rows, (0.0, 1.0)):
         point = thermo_point(ModelParams(5, 1, mu), 0, 1.0)
         assert row.z == pytest.approx(point.z, rel=1e-15)
@@ -103,7 +99,7 @@ def test_spec_validation(bad):
 
 def test_region_matches_classify_outside_window():
     spec = _spec(steps=41)
-    for row in _rows(spec):
+    for row in sweep_rows(spec):
         if abs(row.mu - row.mu_c) > spec.ep_window:
             assert row.region is classify(ModelParams(5, 1, row.mu), row.n)
         else:
@@ -111,7 +107,7 @@ def test_region_matches_classify_outside_window():
 
 
 def test_region_sign_structure_in_rows():
-    for row in _rows(_spec(steps=33)):
+    for row in sweep_rows(_spec(steps=33)):
         if row.region is PhaseRegion.UNBROKEN:
             assert row.specific_heat >= 0.0
         elif row.region is PhaseRegion.BROKEN and row.valid:
@@ -189,9 +185,9 @@ def test_emit_reports_destination_on_failure(tmp_path):
 
 
 def test_figure_dataset_defaults():
-    rows = figure_dataset(3)
-    assert sorted({r.n for r in rows}) == [0, 1, 2, 5]
-    for row in rows:
+    records = cli_rows("fig", "--id", "3")
+    assert sorted({r.n for r in records}) == [0, 1, 2, 5]
+    for row in records:
         if row.region is PhaseRegion.UNBROKEN:
             assert row.specific_heat >= 0.0
         elif row.valid:
@@ -200,23 +196,18 @@ def test_figure_dataset_defaults():
 
 def test_figure_dataset_free_energy_grows_near_coalescence():
     spec = _spec(subspaces=(1,), mu_min=0.1, mu_max=2.8, steps=28, tau=5.0)
-    rows = figure_dataset(1, spec)
-    mu_c = rows[0].mu_c
-    valid = [(abs(r.mu - mu_c), abs(r.free_energy)) for r in rows if r.free_energy is not None]
+    records = sweep_rows(spec)
+    mu_c = records[0].mu_c
+    valid = [(abs(r.mu - mu_c), abs(r.free_energy)) for r in records if r.free_energy is not None]
     closest = min(valid)[1]
     farthest = max(valid)[1]
     assert closest > farthest
 
 
-def test_figure_dataset_rejects_unknown_id():
-    with pytest.raises(ValueError):
-        figure_dataset(4)
-
-
 def test_rows_are_plain_records():
     block = run_sweep(_spec(steps=2, mu_min=0.0, mu_max=1.0))[0]
     assert isinstance(block, SweepBlock)
-    row = next(block.rows())
+    row = next(block_rows(block))
     assert isinstance(row, SweepRow)
     assert row.mu_c == 2.0
 
@@ -313,13 +304,13 @@ def _byte_identity_blocks():
 
 def test_renderers_are_byte_identical_to_the_row_renderers(tmp_path, capsys, monkeypatch):
     blocks = _byte_identity_blocks()
-    rows = [row for block in blocks for row in block.rows()]
+    rows = rows_of(blocks)
     # The same sweeps evaluated and rendered in grid parts of 5 steps.
     monkeypatch.setattr("spinosc.sweep._PART_ROWS", 5)
     parts = _byte_identity_blocks()
     monkeypatch.undo()
     assert len(parts) > len(blocks)
-    assert [row for block in parts for row in block.rows()] == rows
+    assert rows_of(parts) == rows
     renderers = (("csv", render_csv_reference, render_csv), ("json", render_json_reference, render_json))
     for format, reference, render in renderers:
         expected = reference(rows)
@@ -412,7 +403,7 @@ def _first_difference(actual, expected):
 
 def test_fast_renderers_match_the_row_renderers_on_every_kind_of_value():
     blocks = _property_blocks()
-    rows = [row for block in blocks for row in block.rows()]
+    rows = rows_of(blocks)
     assert {(row.region, row.valid) for row in rows} == {(region, flag) for region in REGIONS for flag in (False, True)}
     for format, reference, render, join in (
         ("csv", render_csv_reference, render_csv, lambda texts: CSV_HEADER + "\n" + "".join(texts)),

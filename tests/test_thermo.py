@@ -7,17 +7,19 @@ from spinosc.metric import ExceptionalPoint, eta
 from spinosc.model import ModelParams, build_block
 from spinosc.smallmat import expm2
 from spinosc.spectral import PhaseRegion, block_spectrum, critical_coupling, discriminant
-from spinosc.sweep import SweepSpec, figure_dataset
+from spinosc.sweep import SweepSpec
 from spinosc.thermo import (
     StencilCrossesSingularity,
+    closed_forms,
     entropy,
     finite_diff_check,
     free_energy,
     partition_function,
-    partition_function_closed,
     specific_heat,
     thermo_point,
 )
+
+from rowview import sweep_rows
 
 FIG = dict(alpha=5.0, homega=1.0)
 
@@ -55,7 +57,7 @@ def _gibbs_entropy(energies, tau):
 def test_partition_function_reference_values(mu, n, tau, expected):
     params = ModelParams(**FIG, mu=mu)
     assert partition_function(params, n, tau) == pytest.approx(expected, rel=1e-12)
-    assert partition_function_closed(params, n, tau) == pytest.approx(expected, rel=1e-12)
+    assert thermo_point(params, n, tau).z == pytest.approx(expected, rel=1e-12)
 
 
 def test_partition_function_refuses_coalescence():
@@ -75,7 +77,7 @@ def test_temperature_validation(tau):
 def test_matrix_and_closed_routes_agree(n, factor, tau):
     mu_c = critical_coupling(ModelParams(**FIG, mu=0.0), n)
     params = ModelParams(**FIG, mu=factor * mu_c)
-    z_closed = partition_function_closed(params, n, tau)
+    z_closed = thermo_point(params, n, tau).z
     if abs(z_closed) < 1e-8:
         return
     z_matrix = partition_function(params, n, tau)
@@ -207,6 +209,34 @@ def test_finite_difference_step_validation():
         finite_diff_check(ModelParams(**FIG, mu=1.0), 0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("field", ["entropy", "specific_heat"])
+def test_finite_difference_checks_the_kernels_s_and_cv(monkeypatch, field):
+    # The analytic side of the check is the production kernel, so an error of
+    # 1e-5 in its S or C_v must show above the 1e-6 bound.
+    kernel = closed_forms
+
+    def skewed(*args, **kwargs):
+        columns = kernel(*args, **kwargs)
+        return columns._replace(**{field: getattr(columns, field) * (1.0 + 1e-5)})
+
+    monkeypatch.setattr("spinosc.thermo.closed_forms", skewed)
+    worst = 0.0
+    for mu, n, tau in [(1.0, 0, 1.0), (0.0, 0, 1.0), (2.5, 0, 2.0), (0.6, 3, 1.4)]:
+        report = finite_diff_check(ModelParams(**FIG, mu=mu), n, tau, 1e-4 * tau)
+        worst = max(worst, report.rel_err_d1, report.rel_err_d2)
+    assert worst > 1e-6
+
+
+def test_finite_difference_where_the_kernel_overflows_is_an_overflow_error():
+    # b/tau ~ 2165 at alpha = 5000, n = 0, mu = mu_c/2, tau = 1: Z leaves double
+    # range, so the kernel's F and S are undefined.  The matrix route overflows
+    # on the stencil as well; numpy's warnings about that are silenced here.
+    mu_c = critical_coupling(ModelParams(5000.0, 1.0, 0.0), 0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError) as info:
+        finite_diff_check(ModelParams(5000.0, 1.0, 0.5 * mu_c), 0, 1.0, 1e-4)
+    assert str(info.value) == "F, S or C_v is undefined at mu = 1249.75, n = 0, tau = 1.0"
+
+
 def test_free_energy_tracks_log_z():
     params = ModelParams(**FIG, mu=1.0)
     taus = np.linspace(0.5, 5.0, 20)
@@ -234,7 +264,7 @@ def _envelope(params, n, tau):
 def test_figure_rows_match_the_matrix_trace(tau):
     # The default figure grid at this tau.
     spec = SweepSpec(**FIG, tau=tau, subspaces=(0, 1, 2, 5), mu_min=0.0, mu_max=4.0, steps=161)
-    rows = [r for r in figure_dataset(1, spec) if r.region is not PhaseRegion.EXCEPTIONAL]
+    rows = [r for r in sweep_rows(spec) if r.region is not PhaseRegion.EXCEPTIONAL]
     if tau == 1.0:
         assert any(r.z < 0.0 for r in rows)
     for row in rows:
@@ -274,6 +304,5 @@ def test_overflowing_cosh_leaves_z_f_s_undefined(tau):
     assert point.region is PhaseRegion.UNBROKEN
     assert (point.z, point.free_energy, point.entropy, point.specific_heat) == (None, None, None, 0.0)
     assert not point.z_positive
-    assert partition_function_closed(params, 0, tau) is None
     assert entropy(params, 0, tau) is None
     assert specific_heat(params, 0, tau) == 0.0
