@@ -28,7 +28,7 @@ import numpy as np
 
 from .model import ModelParams, adjoint_block, build_block, check_subspace_index
 from .smallmat import DefectiveMatrix, Eigenpair2, eig2
-from .spectral import PhaseRegion, classify, discriminant
+from .spectral import PhaseRegion, phase
 
 __all__ = [
     "ExceptionalPoint",
@@ -125,24 +125,23 @@ def fix_gauge_balanced(b: BiorthoSystem) -> BiorthoSystem:
     return _with_overlaps(gauged)
 
 
-def _classify_regular(params: ModelParams, n: int) -> PhaseRegion:
-    """classify(params, n); raises ExceptionalPoint at the coalescence point."""
-    region = classify(params, n)
+def _phase_regular(params: ModelParams, n: int) -> tuple[PhaseRegion, float]:
+    """phase(params, n); raises ExceptionalPoint at the coalescence point."""
+    region, disc = phase(params, n)
     if region is PhaseRegion.EXCEPTIONAL:
         raise ExceptionalPoint(
             f"metric is singular at mu = {params.mu} (coalescence for subspace n = {n})"
         )
-    return region
+    return region, disc
 
 
 def _eta_closed(params: ModelParams, n: int) -> tuple[np.ndarray, PhaseRegion]:
-    region = _classify_regular(params, n)
+    region, disc = _phase_regular(params, n)
     if params.mu == 0.0:
         # Hermitian limit: the closed forms reduce to the identity with no
         # 0/0; return it exactly instead of going through eigenvectors.
         return np.eye(2), PhaseRegion.UNBROKEN
 
-    disc = discriminant(params, n)
     coupling = params.mu * math.sqrt(n + 1.0)
     sign = 1.0 if params.delta > 0.0 else -1.0
     if region is PhaseRegion.UNBROKEN:
@@ -171,7 +170,7 @@ def eta_from_vectors(params: ModelParams, n: int) -> np.ndarray:
     broken region.
     """
     n = check_subspace_index(n)
-    _classify_regular(params, n)
+    _phase_regular(params, n)
     system = fix_gauge_balanced(biortho_system(build_block(params, n)))
     out = np.zeros((2, 2), dtype=complex)
     for p in system.pairs:

@@ -159,13 +159,13 @@ def expm2(m, scale: float) -> np.ndarray:
     )
 
 
-def eigN(m, max_dim: int = EIGN_DIM_CAP) -> np.ndarray:
+def eigN(m) -> np.ndarray:
     """All eigenvalues of a general complex dense matrix (oracle use only)."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > max_dim:
-        raise ValueError(f"dimension {m.shape[0]} exceeds cap {max_dim}")
+    if m.shape[0] > EIGN_DIM_CAP:
+        raise ValueError(f"dimension {m.shape[0]} exceeds cap {EIGN_DIM_CAP}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix entries must be finite")
     try:

@@ -1,8 +1,8 @@
 """Closed-form block spectra, phase classification, and exceptional-point location.
 
-The discriminant delta**2 - 4*mu**2*(n+1) is always formed in real arithmetic
-before any square root, so the unbroken/broken decision is a sign test rather
-than a complex-rounding artifact.
+phase_test is the one home of the phase rule.  It forms the discriminant
+delta**2 - 4*mu**2*(n+1) in real arithmetic before any square root, so the
+unbroken/broken decision is a sign test rather than a complex-rounding artifact.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .model import ModelParams, check_subspace_index
 from .smallmat import ep_tolerance
 
@@ -18,6 +20,8 @@ __all__ = [
     "PhaseRegion",
     "Spectrum2",
     "NoSignChange",
+    "phase_test",
+    "phase",
     "discriminant",
     "classify",
     "block_spectrum",
@@ -51,33 +55,46 @@ class Spectrum2:
     discriminant: float
 
 
+def phase_test(delta: float, n: int, mu):
+    """(disc, exceptional) of subspace n at a coupling mu, a float or an array.
+
+    disc = delta**2 - 4*mu**2*(n+1), and exceptional is |disc| <
+    ep_tolerance(delta**2).  n must already be validated.  Raises ValueError
+    where disc leaves double range.
+    """
+    delta_sq = delta * delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = delta_sq - 4.0 * (mu * mu) * (n + 1)
+    if not np.isfinite(disc).all():
+        raise ValueError(f"the discriminant of subspace {n} overflows: alpha, homega or mu is too large")
+    return disc, abs(disc) < ep_tolerance(delta_sq)
+
+
+def phase(params: ModelParams, n: int) -> tuple[PhaseRegion, float]:
+    """(region, disc) of the (n+1)-th subspace.
+
+    The coalescence point is its own region, not part of the unbroken side:
+    the metric and the partition function are singular there.
+    """
+    disc, exceptional = phase_test(params.delta, check_subspace_index(n), params.mu)
+    if exceptional:
+        return PhaseRegion.EXCEPTIONAL, disc
+    return (PhaseRegion.UNBROKEN if disc > 0.0 else PhaseRegion.BROKEN), disc
+
+
 def discriminant(params: ModelParams, n: int) -> float:
     """delta**2 - 4*mu**2*(n+1); ValueError where it leaves double range."""
-    n = check_subspace_index(n)
-    disc = params.delta * params.delta - 4.0 * (params.mu * params.mu) * (n + 1)
-    if not math.isfinite(disc):
-        raise ValueError(f"the discriminant of subspace {n} overflows: alpha, homega or mu is too large")
-    return disc
+    return phase(params, n)[1]
 
 
 def classify(params: ModelParams, n: int) -> PhaseRegion:
-    """Phase of the (n+1)-th subspace.
-
-    The coalescence point is tagged as its own region instead of being folded
-    into the unbroken side: the metric and the partition function are singular
-    there, and callers must branch explicitly.
-    """
-    disc = discriminant(params, n)
-    if abs(disc) < ep_tolerance(params.delta**2):
-        return PhaseRegion.EXCEPTIONAL
-    return PhaseRegion.UNBROKEN if disc > 0.0 else PhaseRegion.BROKEN
+    """Phase of the (n+1)-th subspace: Unbroken, Broken or Exceptional."""
+    return phase(params, n)[0]
 
 
 def block_spectrum(params: ModelParams, n: int) -> Spectrum2:
     """Eigenvalues (2n+1)*homega/2 +- sqrt(disc)/2 with a fixed branch order."""
-    n = check_subspace_index(n)
-    disc = discriminant(params, n)
-    region = classify(params, n)
+    region, disc = phase(params, n)
     center = 0.5 * (2 * n + 1) * params.homega
     if region is PhaseRegion.UNBROKEN:
         half = 0.5 * math.sqrt(disc)
@@ -94,27 +111,19 @@ def critical_coupling(params: ModelParams, n: int) -> float:
     return abs(params.delta) / (2.0 * math.sqrt(n + 1.0))
 
 
-def locate_ep_numeric(
-    alpha: float,
-    homega: float,
-    n: int,
-    bracket: tuple[float, float],
-    width: float = 1e-12,
-) -> float:
+def locate_ep_numeric(alpha: float, homega: float, n: int, bracket: tuple[float, float]) -> float:
     """Bisection on the discriminant sign over a mu bracket.
 
-    Independent of critical_coupling: only evaluates delta**2 - 4*mu**2*(n+1)
-    and halves the bracket until it is narrower than `width`.
+    Independent of critical_coupling and phase_test: only evaluates
+    delta**2 - 4*mu**2*(n+1) and halves the bracket until it is narrower than
+    1e-12 or its ends are adjacent doubles.
     """
     n = check_subspace_index(n)
-    homega = float(homega)
-    if homega <= 0.0:
-        raise ValueError(f"homega must be positive, got {homega}")
+    delta = ModelParams(alpha, homega, 0.0).delta
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValueError(f"invalid bracket {bracket!r}")
-
-    delta_sq = (homega - float(alpha)) ** 2
+    delta_sq = delta * delta
 
     def f(mu: float) -> float:
         return delta_sq - 4.0 * mu * mu * (n + 1)
@@ -127,8 +136,10 @@ def locate_ep_numeric(
     if (flo > 0.0) == (fhi > 0.0):
         raise NoSignChange(f"discriminant has the same sign at both ends of {bracket!r}")
 
-    while hi - lo > width:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # the ends are adjacent doubles
         fm = f(mid)
         if fm == 0.0:
             return mid

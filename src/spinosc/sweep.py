@@ -61,11 +61,9 @@ class SweepSpec:
     ep_window: float = 1e-6
 
     def __post_init__(self):
-        for name in ("alpha", "homega", "tau", "mu_min", "mu_max"):
+        for name in ("tau", "mu_min", "mu_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.homega <= 0.0:
-            raise ValueError(f"homega must be positive, got {self.homega}")
         if self.tau <= 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not self.subspaces:
@@ -76,7 +74,7 @@ class SweepSpec:
             raise ValueError(f"mu_min must be nonnegative, got {self.mu_min}")
         if not self.mu_min < self.mu_max:
             raise ValueError(f"mu_min must be below mu_max, got [{self.mu_min}, {self.mu_max}]")
-        # The discriminant is largest in size at mu_max and the top subspace.
+        # ModelParams checks alpha and homega; |disc| peaks at mu_max in the top subspace.
         discriminant(ModelParams(self.alpha, self.homega, self.mu_max), max(self.subspaces))
         if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)) or self.steps < 2:
             raise ValueError(f"steps must be an integer >= 2, got {self.steps!r}")

@@ -45,8 +45,8 @@ import numpy as np
 
 from .metric import ExceptionalPoint, eta
 from .model import ModelParams, build_block, check_subspace_index
-from .smallmat import ep_tolerance, expm2
-from .spectral import PhaseRegion
+from .smallmat import expm2
+from .spectral import PhaseRegion, phase_test
 
 __all__ = [
     "StencilCrossesSingularity",
@@ -136,22 +136,18 @@ def closed_forms(
 ) -> ClosedForms:
     """Z, F, S and C_v of subspace n at every coupling in `mu`, at one tau.
 
-    A point is Exceptional where `excluded` is set or where classify's test
-    |disc| < ep_tolerance(delta**2) holds, and has no observables.  n and
-    tau must already be validated.  Raises ValueError where the discriminant
-    leaves double range.
+    A point is Exceptional where `excluded` is set or where
+    spectral.phase_test tags it, and has no observables.  n and tau must
+    already be validated.  Raises ValueError where the discriminant leaves
+    double range.
     """
     mu = np.asarray(mu, dtype=float)
     delta = homega - alpha
-    delta_sq = delta * delta
+    disc, exceptional = phase_test(delta, n, mu)
     center = 0.5 * (2 * n + 1) * homega
     damping = math.exp(-center / tau)
     z, f, s, cv = (np.full(mu.shape, np.nan) for _ in range(4))
     with np.errstate(all="ignore"):
-        disc = delta_sq - 4.0 * mu**2 * (n + 1)
-        if not np.isfinite(disc).all():
-            raise ValueError(f"the discriminant of subspace {n} overflows: alpha, homega or mu is too large")
-        exceptional = np.abs(disc) < ep_tolerance(delta_sq)
         if excluded is not None:
             exceptional |= excluded
         unbroken = ~exceptional & (disc > 0.0)
@@ -244,9 +240,10 @@ def finite_diff_check(params: ModelParams, n: int, tau: float, step: float) -> D
     The differences take the matrix-route Z at the three stencil points; the
     analytic derivatives come from the kernel's F, S and C_v at tau, as
     d1 = U/tau^2 = (F/tau + S)/tau and d2 = (C_v/tau - 2 d1)/tau.  Raises
-    StencilCrossesSingularity when any stencil Z is nonpositive (the log is
-    about to cross a cos zero), OverflowError where the kernel leaves F, S or
-    C_v undefined, ValueError when tau - step leaves the domain.
+    StencilCrossesSingularity when any stencil Z is negative (the log is
+    about to cross a cos zero), OverflowError where a stencil Z underflows to
+    0 or the kernel leaves F, S or C_v undefined, ValueError when tau - step
+    leaves the domain.
     """
     n = check_subspace_index(n)
     tau = _check_tau(tau)
@@ -255,10 +252,10 @@ def finite_diff_check(params: ModelParams, n: int, tau: float, step: float) -> D
         raise ValueError(f"step must satisfy 0 < step < tau, got {step}")
 
     samples = [partition_function(params, n, t) for t in (tau - step, tau, tau + step)]
-    if any(z <= 0.0 for z in samples):
-        raise StencilCrossesSingularity(
-            f"partition function nonpositive on the stencil around tau = {tau}"
-        )
+    if any(z < 0.0 for z in samples):
+        raise StencilCrossesSingularity(f"partition function negative on the stencil around tau = {tau}")
+    if 0.0 in samples:
+        raise OverflowError(f"partition function underflows to 0 on the stencil around tau = {tau}")
     lo, mid, hi = (math.log(z) for z in samples)
     d1_num = (hi - lo) / (2.0 * step)
     d2_num = (hi - 2.0 * mid + lo) / step**2

@@ -28,15 +28,21 @@ class CheckResult:
     detail: str
 
 
-def _unbroken_broken_mus(mu_c: float) -> tuple[list[float], list[float]]:
-    unbroken = [f * mu_c for f in (0.2, 0.5, 0.8)]
-    broken = [f * mu_c for f in (1.2, 1.5, 2.0)]
-    return unbroken, broken
+# Couplings as fractions of each subspace's mu_c: three unbroken, three broken.
+_MU_FRACTIONS = (0.2, 0.5, 0.8, 1.2, 1.5, 2.0)
+
+
+def _bounded(name: str, worst: float, bound: float, measure: str, ok: bool = True) -> CheckResult:
+    """A check that passes when its worst residual lies below its bound."""
+    return CheckResult(name, ok and worst < bound, f"{measure} {worst:.3e}")
 
 
 def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list[CheckResult]:
     results = []
     subspaces = range(6)
+    mu_c = [critical_coupling(ModelParams(alpha, homega, 0.0), n) for n in subspaces]
+    # (n, mu, unbroken) at each fraction of mu_c.
+    grid = [(n, f * mu_c[n], f < 1.0) for n in subspaces for f in _MU_FRACTIONS]
 
     worst = 0.0
     for n in subspaces:
@@ -44,87 +50,61 @@ def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list
             params = ModelParams(alpha, homega, mu)
             h_norm = float(np.linalg.norm(build_block(params, n)))
             worst = max(worst, sigma_z_residual(params, n) / (1.0 + h_norm))
-    results.append(
-        CheckResult("sigma-z pseudo-hermiticity (blocks)", worst < 1e-12, f"max residual {worst:.3e}")
-    )
+    results.append(_bounded("sigma-z pseudo-hermiticity (blocks)", worst, 1e-12, "max residual"))
 
     worst = 0.0
     for n in subspaces:
-        probe = ModelParams(alpha, homega, 0.0)
-        mu_c = critical_coupling(probe, n)
-        located = locate_ep_numeric(alpha, homega, n, (0.0, mu_c + 1.0))
-        worst = max(worst, abs(located - mu_c))
-    results.append(
-        CheckResult("coalescence location (bisection vs closed)", worst < 1e-10, f"max |diff| {worst:.3e}")
-    )
+        located = locate_ep_numeric(alpha, homega, n, (0.0, mu_c[n] + 1.0))
+        worst = max(worst, abs(located - mu_c[n]))
+    results.append(_bounded("coalescence location (bisection vs closed)", worst, 1e-10, "max |diff|"))
 
     worst_route = 0.0
     worst_intertwine = 0.0
     metric_ok = True
-    for n in subspaces:
-        mu_c = critical_coupling(ModelParams(alpha, homega, 0.0), n)
-        unbroken, broken = _unbroken_broken_mus(mu_c)
-        for mu in unbroken + broken:
-            params = ModelParams(alpha, homega, mu)
-            closed = eta(params, n).matrix
-            vectors = eta_from_vectors(params, n)
-            worst_route = max(worst_route, float(np.max(np.abs(vectors - closed))))
-            diag = verify_metric(params, n)
-            metric_ok = metric_ok and diag.positive_definite and diag.det_error < 1e-10
-            if mu in unbroken:
-                h_norm = float(np.linalg.norm(build_block(params, n)))
-                worst_intertwine = max(worst_intertwine, diag.intertwining_residual / h_norm)
+    for n, mu, unbroken in grid:
+        params = ModelParams(alpha, homega, mu)
+        closed = eta(params, n).matrix
+        vectors = eta_from_vectors(params, n)
+        worst_route = max(worst_route, float(np.max(np.abs(vectors - closed))))
+        diag = verify_metric(params, n)
+        metric_ok = metric_ok and diag.positive_definite and diag.det_error < 1e-10
+        if unbroken:
+            h_norm = float(np.linalg.norm(build_block(params, n)))
+            worst_intertwine = max(worst_intertwine, diag.intertwining_residual / h_norm)
+    results.append(_bounded("metric routes agree (eigenvectors vs closed)", worst_route, 1e-10, "max |diff|"))
     results.append(
-        CheckResult(
-            "metric routes agree (eigenvectors vs closed)", worst_route < 1e-10, f"max |diff| {worst_route:.3e}"
-        )
-    )
-    results.append(
-        CheckResult(
-            "metric intertwines block (unbroken)",
-            worst_intertwine < 1e-10 and metric_ok,
-            f"max relative residual {worst_intertwine:.3e}",
+        _bounded(
+            "metric intertwines block (unbroken)", worst_intertwine, 1e-10, "max relative residual", metric_ok
         )
     )
 
     worst = 0.0
-    for n in subspaces:
-        mu_c = critical_coupling(ModelParams(alpha, homega, 0.0), n)
-        unbroken, broken = _unbroken_broken_mus(mu_c)
-        for mu in unbroken + broken:
-            params = ModelParams(alpha, homega, mu)
-            for tau in (0.5, 1.0, 5.0, 20.0):
-                # Z outside double range (None) or near a zero of the broken
-                # cos has no relative error to compare.
-                z_closed = thermo_point(params, n, tau).z
-                if z_closed is None or abs(z_closed) < 1e-6:
-                    continue
-                z_matrix = partition_function(params, n, tau)
-                worst = max(worst, abs(z_matrix - z_closed) / abs(z_closed))
-    results.append(
-        CheckResult("partition function dual route", worst < 1e-10, f"max relative |diff| {worst:.3e}")
-    )
+    for n, mu, _ in grid:
+        params = ModelParams(alpha, homega, mu)
+        for tau in (0.5, 1.0, 5.0, 20.0):
+            # Z outside double range (None) or near a zero of the broken
+            # cos has no relative error to compare.
+            z_closed = thermo_point(params, n, tau).z
+            if z_closed is None or abs(z_closed) < 1e-6:
+                continue
+            z_matrix = partition_function(params, n, tau)
+            worst = max(worst, abs(z_matrix - z_closed) / abs(z_closed))
+    results.append(_bounded("partition function dual route", worst, 1e-10, "max relative |diff|"))
 
     worst = 0.0
     for n in (0, 2, 5):
-        mu_c = critical_coupling(ModelParams(alpha, homega, 0.0), n)
-        for mu, tau in ((0.5 * mu_c, 1.0), (0.6 * mu_c, 1.5), (1.25 * mu_c, 2.5)):
+        for mu, tau in ((0.5 * mu_c[n], 1.0), (0.6 * mu_c[n], 1.5), (1.25 * mu_c[n], 2.5)):
             report = finite_diff_check(ModelParams(alpha, homega, mu), n, tau, 1e-4 * tau)
             worst = max(worst, report.rel_err_d1, report.rel_err_d2)
-    results.append(
-        CheckResult("log-derivative finite differences", worst < 1e-6, f"max relative error {worst:.3e}")
-    )
+    results.append(_bounded("log-derivative finite differences", worst, 1e-6, "max relative error"))
 
     worst = 0.0
     # Couplings that sit exactly on a block coalescence are excluded: a
     # defective block's eigenvalues carry sqrt(eps)-level conditioning, which
     # no dense solver can beat.
     for mu in (0.0, 0.6, 1.3, 3.0):
-        check = block_decomposition_check(ModelParams(alpha, homega, mu), cutoff)
-        worst = max(worst, check.max_deviation)
-    results.append(
-        CheckResult("truncated spectrum matches block union", worst < 1e-8, f"max deviation {worst:.3e}")
-    )
+        worst = max(worst, block_decomposition_check(ModelParams(alpha, homega, mu), cutoff).max_deviation)
+    results.append(_bounded("truncated spectrum matches block union", worst, 1e-8, "max deviation"))
 
     report = symmetry_report(ModelParams(alpha, homega, 1.0), cutoff)
     sym_ok = (

@@ -76,8 +76,7 @@ def test_block_decomposition_contains_first_block_values():
 def test_block_decomposition_multiset_equality_off_coalescence():
     for mu in (0.0, 0.6, 1.3, 3.0):
         check = block_decomposition_check(ModelParams(**FIG, mu=mu), 8)
-        assert check.ok, f"mu={mu}: max deviation {check.max_deviation}"
-        assert check.max_deviation < 1e-8
+        assert check.max_deviation < 1e-8, f"mu={mu}: max deviation {check.max_deviation}"
 
 
 def test_block_decomposition_hermitian_limit_exact_levels():

@@ -17,7 +17,7 @@ import pytest
 from spinosc.model import ModelParams
 from spinosc.spectral import PhaseRegion, classify, critical_coupling, discriminant
 from spinosc.sweep import SweepSpec
-from spinosc.thermo import closed_forms, entropy, specific_heat, thermo_point
+from spinosc.thermo import REGIONS, closed_forms, entropy, specific_heat, thermo_point
 
 from rowview import sweep_rows
 
@@ -216,3 +216,17 @@ def test_unbroken_cv_is_zero_past_x_350():
     assert 0.0 < specific_heat(params, 0, b / 349.0) < 1e-290
     for tau in (b / 351.0, 1e-320):
         assert specific_heat(params, 0, tau) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-20, 2.0**20])
+@pytest.mark.parametrize("n", [0, 7])
+def test_kernel_and_classify_share_the_phase_rule(n, scale):
+    # Within 2e-12 of mu_c (relative) the tolerance test decides the region; the
+    # kernel's grid path and classify's point path must decide it alike at
+    # every scale of the inputs.
+    alpha, homega, tau = 5.0 * scale, 1.0 * scale, 1.3 * scale
+    mu_c = critical_coupling(ModelParams(alpha, homega, 0.0), n)
+    mu = np.array([mu_c * (1.0 + sign * k * 1e-13) for k in range(21) for sign in (1.0, -1.0)])
+    region = closed_forms(alpha, homega, n, mu, tau, excluded=None).region
+    expected = [REGIONS.index(classify(ModelParams(alpha, homega, m), n)) for m in mu]
+    assert region.tolist() == expected

@@ -1,3 +1,7 @@
+import math
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -66,6 +70,26 @@ def test_locate_ep_agrees_with_closed_form(n):
     expected = critical_coupling(ModelParams(**FIG, mu=0), n)
     located = locate_ep_numeric(5.0, 1.0, n, (0.0, 5.0))
     assert abs(located - expected) < 1e-10
+
+
+def test_locate_ep_stops_when_the_ends_are_adjacent_doubles():
+    # Near mu_c ~ 5e9 (alpha = 1e10) doubles are ~1e-6 apart, far wider than
+    # the 1e-12 bracket width, so only the adjacent-ends stop can end the
+    # bisection.  It runs in a child so that a hang fails here instead.
+    code = (
+        "from spinosc.model import ModelParams\n"
+        "from spinosc.spectral import critical_coupling, locate_ep_numeric\n"
+        "for n in range(6):\n"
+        "    mu_c = critical_coupling(ModelParams(1e10, 1.0, 0.0), n)\n"
+        "    print(repr(mu_c), repr(locate_ep_numeric(1e10, 1.0, n, (0.0, mu_c + 1.0))))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 6
+    for line in lines:
+        mu_c, located = map(float, line.split())
+        assert abs(located - mu_c) <= 2 * math.ulp(mu_c)
 
 
 def test_locate_ep_no_sign_change():

@@ -202,6 +202,16 @@ def test_finite_difference_stencil_crossing():
         finite_diff_check(ModelParams(**FIG, mu=2.5), 0, 0.954, 1e-5)
 
 
+def test_finite_difference_underflowed_z_is_an_overflow_error():
+    # At n = 3000, tau = 0.01 the damping exp(-center/tau) takes every stencil
+    # Z below the smallest double: Z is positive but out of range, not a sign
+    # change.  numpy's warnings from the matrix-route stencil are silenced.
+    mu = 0.5 * critical_coupling(ModelParams(**FIG, mu=0.0), 3000)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError) as info:
+        finite_diff_check(ModelParams(**FIG, mu=mu), 3000, 0.01, 1e-6)
+    assert str(info.value) == "partition function underflows to 0 on the stencil around tau = 0.01"
+
+
 def test_finite_difference_step_validation():
     with pytest.raises(ValueError):
         finite_diff_check(ModelParams(**FIG, mu=1.0), 0, 1.0, 1.0)
