@@ -137,11 +137,6 @@ def _phase_regular(params: ModelParams, n: int) -> tuple[PhaseRegion, float]:
 
 def _eta_closed(params: ModelParams, n: int) -> tuple[np.ndarray, PhaseRegion]:
     region, disc = _phase_regular(params, n)
-    if params.mu == 0.0:
-        # Hermitian limit: the closed forms reduce to the identity with no
-        # 0/0; return it exactly instead of going through eigenvectors.
-        return np.eye(2), PhaseRegion.UNBROKEN
-
     coupling = params.mu * math.sqrt(n + 1.0)
     sign = 1.0 if params.delta > 0.0 else -1.0
     if region is PhaseRegion.UNBROKEN:

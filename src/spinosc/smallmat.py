@@ -105,7 +105,7 @@ def eig2(m) -> tuple[Eigenpair2, Eigenpair2]:
     if (tr.conjugate() * root).real < 0.0:
         root = -root
     lam1 = 0.5 * (tr + root)
-    lam2 = det / lam1 if lam1 != 0.0 else 0.5 * (tr - root)
+    lam2 = det / lam1
 
     adj = m.conj().T
     pairs = []
@@ -116,28 +116,14 @@ def eig2(m) -> tuple[Eigenpair2, Eigenpair2]:
     return (pairs[0], pairs[1])
 
 
-def _expm_taylor(a: np.ndarray) -> np.ndarray:
-    # Scaling and squaring with a truncated Taylor sum; ||a/2^j|| <= 0.5 keeps
-    # the 24-term remainder far below double precision.
-    norm = float(np.abs(a).sum(axis=0).max())
-    nsq = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0.0 else 0
-    b = a / (2.0**nsq)
-    out = np.eye(2, dtype=complex)
-    for k in range(24, 0, -1):
-        out = np.eye(2, dtype=complex) + (b @ out) / k
-    for _ in range(nsq):
-        out = out @ out
-    return out
-
-
 def expm2(m, scale: float) -> np.ndarray:
     """exp(scale * m) for a 2x2 matrix via the trace split m = c*I + M.
 
     M is traceless, so M^2 = q^2 * I with q^2 = -det(M), and
     exp(s*m) = e^{s c} [cosh(s q) I + sinh(s q)/q * M].  Imaginary q turns
-    cosh/sinh into cos/sin, which is exactly the oscillatory branch.  When
-    |q^2| falls below tolerance (coalescing eigenvalues) the closed form is
-    replaced by a scaled Taylor series on scale*m.
+    cosh/sinh into cos/sin, which is exactly the oscillatory branch.  Both
+    terms are even in q, and sinh(s q)/q -> s is the removable singularity
+    at q = 0 (coalescing eigenvalues), so one formula covers every block.
     """
     m = _as_block(m)
     scale = float(scale)
@@ -147,15 +133,10 @@ def expm2(m, scale: float) -> np.ndarray:
     center = 0.5 * (m[0, 0] + m[1, 1])
     traceless = m - center * np.eye(2)
     q_sq = traceless[0, 0] ** 2 + traceless[0, 1] * traceless[1, 0]
-
-    fro_sq = float(np.sum(np.abs(m) ** 2))
-    if abs(q_sq) < ep_tolerance(fro_sq):
-        return _expm_taylor(scale * m)
-
     q = np.sqrt(complex(q_sq))
     sq = scale * q
     return np.exp(scale * center) * (
-        np.cosh(sq) * np.eye(2, dtype=complex) + (np.sinh(sq) / q) * traceless
+        np.cosh(sq) * np.eye(2, dtype=complex) + (np.sinh(sq) / q if q != 0.0 else scale) * traceless
     )
 
 

@@ -30,9 +30,9 @@ The broken-region Z can be negative (cos factor) at small tau; points there
 are flagged rather than clamped, F and S become undefined, and C_v is still
 meaningful because it only involves derivatives of ln|Z|.  Any observable
 that leaves double range, or that depends on cos/tan of a b/tau beyond double
-range, is undefined too; the unbroken C_v is 0 for b/tau > 350, where the
-exact value underflows.  Everything is singular at the coalescence point
-itself: the observables are undefined there and the scalar accessors raise.
+range, is undefined too; the unbroken C_v is set to 0 past b/tau = 350, where
+its exact value is below 5e-299 (not an underflow).  Everything is singular at
+the coalescence point itself: observables are undefined and accessors raise.
 """
 
 from __future__ import annotations
@@ -153,12 +153,11 @@ def closed_forms(
         unbroken = ~exceptional & (disc > 0.0)
         broken = ~exceptional & (disc <= 0.0)
 
+        # At mu == 0 disc is exactly delta**2, whose sqrt is |delta| for every
+        # delta with a normal square: the Hermitian limit comes out exact.
         d = np.sqrt(disc[unbroken])
-        # D = |delta| exactly at mu == 0; avoid sqrt(delta**2) rounding in
-        # the Hermitian limit.
-        hermitian = mu[unbroken] == 0.0
-        x = np.where(hermitian, 0.5 * abs(delta), 0.5 * d) / tau
-        prefactor = np.where(hermitian, 2.0, 2.0 * abs(delta) / d)
+        x = 0.5 * d / tau
+        prefactor = 2.0 * abs(delta) / d
         cosh = np.cosh(x)
         z[unbroken] = prefactor * damping * cosh
         s[unbroken] = np.log(prefactor) + np.log(cosh) - x * np.tanh(x)

@@ -15,6 +15,7 @@ import numpy as np
 from .fullspace import block_decomposition_check, symmetry_report
 from .metric import eta, eta_from_vectors, verify_metric
 from .model import ModelParams, build_block, sigma_z_residual
+from .smallmat import EIGN_DIM_CAP
 from .spectral import critical_coupling, locate_ep_numeric
 from .thermo import finite_diff_check, partition_function, thermo_point
 
@@ -30,6 +31,8 @@ class CheckResult:
 
 # Couplings as fractions of each subspace's mu_c: three unbroken, three broken.
 _MU_FRACTIONS = (0.2, 0.5, 0.8, 1.2, 1.5, 2.0)
+# The block check hands eigN the truncated matrix less its top state: 2*cutoff + 1.
+_MAX_CUTOFF = (EIGN_DIM_CAP - 1) // 2
 
 
 def _bounded(name: str, worst: float, bound: float, measure: str, ok: bool = True) -> CheckResult:
@@ -38,6 +41,8 @@ def _bounded(name: str, worst: float, bound: float, measure: str, ok: bool = Tru
 
 
 def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list[CheckResult]:
+    if not 2 <= cutoff <= _MAX_CUTOFF:
+        raise ValueError(f"cutoff must be in [2, {_MAX_CUTOFF}], got {cutoff}")
     results = []
     subspaces = range(6)
     mu_c = [critical_coupling(ModelParams(alpha, homega, 0.0), n) for n in subspaces]

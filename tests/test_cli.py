@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from spinosc import verify
+
 
 def run_cli(*args, python_flags=()):
     return subprocess.run(
@@ -151,6 +153,16 @@ def test_verify_skips_closed_z_outside_double_range():
     assert "partition function dual route" in result.stdout
 
 
+def test_verify_checks_the_cutoff_before_any_check_runs(monkeypatch):
+    def first_check(*args):
+        raise AssertionError("a check ran before the cutoff was checked")
+
+    monkeypatch.setattr(verify, "critical_coupling", first_check)
+    monkeypatch.setattr(verify, "sigma_z_residual", first_check)
+    with pytest.raises(ValueError, match=r"cutoff must be in \[2, 127\], got 128"):
+        verify.run_checks(cutoff=128)
+
+
 @pytest.mark.parametrize("tau", ["1e-160", "1e-320"])
 def test_thermo_at_tiny_tau_broken_is_undefined(tau):
     result = run_cli("thermo", "--n", "0", "--mu", "3", "--tau", tau, python_flags=("-W", "error::RuntimeWarning"))
@@ -193,6 +205,8 @@ def test_sweep_at_tiny_tau_broken_is_undefined(tau):
         ("--alpha", "nan", "sweep"),
         ("sweep", "--tau", "inf"),
         ("sweep", "--steps", str(10**12)),
+        ("verify", "--cutoff", "128"),
+        ("verify", "--cutoff", "1000000000"),
     ],
 )
 def test_out_of_range_inputs_exit_2_with_one_line(args):

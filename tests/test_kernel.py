@@ -218,6 +218,38 @@ def test_unbroken_cv_is_zero_past_x_350():
         assert specific_heat(params, 0, tau) == 0.0
 
 
+def _undefined_as_nan(values, defined=True):
+    return np.where(np.isfinite(values) & defined, values, np.nan)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("n", [0, 5])
+def test_hermitian_limit_is_the_two_level_form_bit_for_bit(n, sign):
+    # At mu = +-0 the discriminant is exactly delta**2 and sqrt(delta**2) is
+    # |delta|, so the general unbroken form gives Z = 2 e^{-center/tau}
+    # cosh(|delta|/2tau), and S, C_v from it, in the same operations.
+    homega, mu = 1.0, np.array([0.0, -0.0])
+    defined = 0
+    for magnitude in np.logspace(-5, 150, 156):
+        alpha = homega - sign * magnitude
+        delta = homega - alpha
+        for tau in (1.0, 1e-3 * magnitude, 0.3 * magnitude, magnitude, 1e3 * magnitude):
+            got = closed_forms(alpha, homega, n, mu, tau)
+            with np.errstate(all="ignore"):
+                x = np.full(2, 0.5 * abs(delta)) / tau
+                cosh = np.cosh(x)
+                z = 2.0 * math.exp(-0.5 * (2 * n + 1) * homega / tau) * cosh
+                z = _undefined_as_nan(z, z != 0.0)
+                f = _undefined_as_nan(-tau * np.log(z))
+                s = _undefined_as_nan(np.log(np.full(2, 2.0)) + np.log(cosh) - x * np.tanh(x), z > 0.0)
+                cv = _undefined_as_nan(np.where(x > 350.0, 0.0, x**2 / cosh**2))
+            assert got.region.tolist() == [0, 0]
+            for value, expected in zip(got[1:5], (z, f, s, cv)):
+                assert _undefined_as_nan(value).tobytes() == expected.tobytes()
+            defined += int(got.valid.sum())
+    assert defined > 1000
+
+
 @pytest.mark.parametrize("scale", [1.0, 2.0**-20, 2.0**20])
 @pytest.mark.parametrize("n", [0, 7])
 def test_kernel_and_classify_share_the_phase_rule(n, scale):

@@ -99,9 +99,11 @@ def test_eta_reference_broken():
 
 
 def test_eta_identity_in_hermitian_limit():
-    result = eta(ModelParams(5, 1, 0), 7)
-    assert np.array_equal(result.matrix, np.eye(2))
-    assert result.region is PhaseRegion.UNBROKEN
+    # alpha = 0.5 puts homega above alpha, where the off-diagonals come out -0.0.
+    for alpha in (5, 0.5):
+        result = eta(ModelParams(alpha, 1, 0), 7)
+        assert np.array_equal(result.matrix, np.eye(2))
+        assert result.region is PhaseRegion.UNBROKEN
 
 
 def test_eta_refuses_coalescence_point():

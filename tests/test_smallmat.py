@@ -1,9 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 
 from spinosc.fullspace import TruncatedSpace, assemble_full
 from spinosc.model import ModelParams, build_block
 from spinosc.smallmat import ConvergenceFailure, DefectiveMatrix, eig2, eigN, expm2
+from spinosc.spectral import critical_coupling
 
 # Deterministic bank of well-behaved 2x2 matrices for property checks.
 MATRICES = [
@@ -115,6 +117,36 @@ def test_expm2_defective_input_uses_series_branch():
     m = np.array([[2.5, 2.0], [-2.0, -1.5]])  # coalesced eigenvalues, q^2 = 0
     ref = _series_expm(m, -1.0)
     assert np.linalg.norm(expm2(m, -1.0) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_expm2_at_zero_q_is_the_exact_limit():
+    # M^2 = 0, so exp(s m) = e^{s c} (I + s M) with c = 0.5, M = [[2, 2], [-2, -2]].
+    out = expm2(np.array([[2.5, 2.0], [-2.0, -1.5]]), -1.0)
+    assert np.array_equal(out, np.exp(-0.5) * np.array([[-1.0, -2.0], [2.0, 3.0]]))
+
+
+def test_expm2_near_coalescence_against_50_digit_values():
+    # Model blocks within 1e-15..1e-3 (relative) of mu_c on both sides, where
+    # q is tiny and the closed form has to carry sinh(s q)/q.
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    worst, compared = 0.0, 0
+    with mpmath.workdps(50):
+        for alpha in (5.0, -3.0):
+            delta = 1.0 - alpha
+            for n in (0, 7, 300):
+                mu_c = critical_coupling(ModelParams(alpha, 1.0, 0.0), n)
+                for mu in (mu_c * (1.0 + sign * 10.0**-k) for k in range(3, 16) for sign in (1.0, -1.0)):
+                    h = build_block(ModelParams(alpha, 1.0, mu), n)
+                    for tau in (0.1 * abs(delta), abs(delta), 10.0 * abs(delta)):
+                        exact = mpmath.expm(mpmath.matrix(h.tolist()) * (-1.0 / tau))
+                        norm = mpmath.mnorm(exact, "f")
+                        if not tiny <= norm <= huge:
+                            continue  # the exact result lies outside double range
+                        error = mpmath.mnorm(exact - mpmath.matrix(expm2(h, -1.0 / tau).tolist()), "f") / norm
+                        worst = max(worst, float(error))
+                        compared += 1
+    assert compared > 400
+    assert worst <= 1e-14
 
 
 @pytest.mark.parametrize("m", MATRICES)
