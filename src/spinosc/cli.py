@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .metric import ExceptionalPoint
@@ -35,8 +36,22 @@ def _fmt_complex(value: complex) -> str:
     return f"{_fmt(value.real)}{sign}{_fmt(abs(value.imag))}i"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every negative number, exponent forms too, as a value.
+
+    argparse takes a token that starts with "-" for a value only if it is an
+    integer or a decimal without an exponent, so "--alpha -1e3" or
+    "--alpha -5." read as a missing value.  Subparsers are built from
+    type(parser), so they share this rule.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinosc",
         description="Spectra, metrics and thermodynamics of the non-Hermitian spin-oscillator ladder.",
     )

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Integral
+from typing import TYPE_CHECKING
 
 from .model import ModelParams
 from .smallmat import eigN
@@ -30,10 +30,14 @@ __all__ = [
     "SymmetryReport",
 ]
 
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+if TYPE_CHECKING:
+    import numpy as np
+
+# Spin operators in the order [+1/2, -1/2], as complex matrices once numpy holds them.
+_SIGMA_Z = [[1.0, 0.0], [0.0, -1.0]]
+_SIGMA_Y = [[0.0, -1.0j], [1.0j, 0.0]]
+_SIGMA_PLUS = [[0.0, 1.0], [0.0, 0.0]]
+_SIGMA_MINUS = [[0.0, 0.0], [1.0, 0.0]]
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,7 @@ class TruncatedSpace:
     cutoff: int
 
     def __post_init__(self):
-        if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, (int, np.integer)):
+        if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, Integral):
             raise ValueError(f"cutoff must be an integer, got {self.cutoff!r}")
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
@@ -55,6 +59,8 @@ class TruncatedSpace:
 
 
 def _lowering(levels: int) -> np.ndarray:
+    import numpy as np
+
     a = np.zeros((levels, levels), dtype=complex)
     for n in range(levels - 1):
         a[n, n + 1] = math.sqrt(n + 1.0)
@@ -63,26 +69,33 @@ def _lowering(levels: int) -> np.ndarray:
 
 def assemble_full(params: ModelParams, space: TruncatedSpace) -> np.ndarray:
     """(alpha/2) sigma_z + homega a^dag a + mu (sigma_+ a - sigma_- a^dag) on the truncated space."""
+    import numpy as np
+
     levels = space.cutoff + 1
     a = _lowering(levels)
     number = a.conj().T @ a
     eye_osc = np.eye(levels, dtype=complex)
+    sigma_z, sigma_plus, sigma_minus = (np.array(s, dtype=complex) for s in (_SIGMA_Z, _SIGMA_PLUS, _SIGMA_MINUS))
     return (
-        0.5 * params.alpha * np.kron(eye_osc, _SIGMA_Z)
+        0.5 * params.alpha * np.kron(eye_osc, sigma_z)
         + params.homega * np.kron(number, np.eye(2, dtype=complex))
-        + params.mu * (np.kron(a, _SIGMA_PLUS) - np.kron(a.conj().T, _SIGMA_MINUS))
+        + params.mu * (np.kron(a, sigma_plus) - np.kron(a.conj().T, sigma_minus))
     )
 
 
 def _pt_image(h: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     # Parity-plus-time-reversal action: sigma -> -sigma is conjugation by
     # sigma_y on every level (sigma_z -> -sigma_z, sigma_+- -> -sigma_-+),
     # ladder operators fixed, then entrywise complex conjugation.
-    flip = np.kron(np.eye(h.shape[0] // 2), _SIGMA_Y)
+    flip = np.kron(np.eye(h.shape[0] // 2), np.array(_SIGMA_Y))
     return (flip @ h @ flip).conj()
 
 
 def _fock_parity(space: TruncatedSpace) -> np.ndarray:
+    import numpy as np
+
     signs = np.array([(-1.0) ** n for n in range(space.cutoff + 1)])
     return np.kron(np.diag(signs), np.eye(2)).astype(complex)
 
@@ -106,10 +119,12 @@ class SymmetryReport:
 
 
 def symmetry_report(params: ModelParams, cutoff: int) -> SymmetryReport:
+    import numpy as np
+
     space = TruncatedSpace(cutoff)
     h = assemble_full(params, space)
     h_dag = h.conj().T
-    sz = np.kron(np.eye(space.cutoff + 1), _SIGMA_Z).astype(complex)
+    sz = np.kron(np.eye(space.cutoff + 1), np.array(_SIGMA_Z, dtype=complex)).astype(complex)
     parity = _fock_parity(space)
     grading = parity @ sz
     return SymmetryReport(
@@ -134,6 +149,8 @@ def block_decomposition_check(params: ModelParams, cutoff: int) -> BlockCheck:
     """Spectrum of the assembled matrix (leftover top state removed) versus
     the ground-state value and the closed-form spectra of the complete blocks.
     """
+    import numpy as np
+
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2 for a block comparison, got {cutoff}")
     space = TruncatedSpace(cutoff)

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import ModelParams, adjoint_block, build_block, check_subspace_index
 from .smallmat import DefectiveMatrix, Eigenpair2, eig2
 from .spectral import PhaseRegion, phase
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ExceptionalPoint",
@@ -73,6 +75,8 @@ class MetricDiagnostics:
 
 
 def _with_overlaps(pairs: list[Eigenpair2]) -> BiorthoSystem:
+    import numpy as np
+
     overlap_matrix = np.array([[np.vdot(li.left_vector, rj.right_vector) for rj in pairs] for li in pairs])
     return BiorthoSystem(tuple(pairs), overlap_matrix)
 
@@ -85,6 +89,8 @@ def biortho_system(m) -> BiorthoSystem:
     unbroken spectrum and the conjugate-pair broken spectrum.  Raises
     DefectiveMatrix when the block is not diagonalizable.
     """
+    import numpy as np
+
     pairs = eig2(m)
     normalized = []
     for p in pairs:
@@ -108,6 +114,8 @@ def fix_gauge_balanced(b: BiorthoSystem) -> BiorthoSystem:
     keep real vectors (already-real vectors pass through untouched).
     Overlaps <L_i|R_j> are invariant under this rescaling.
     """
+    import numpy as np
+
     gauged = []
     for p in b.pairs:
         norm_l = np.linalg.norm(p.left_vector)
@@ -136,6 +144,8 @@ def _phase_regular(params: ModelParams, n: int) -> tuple[PhaseRegion, float]:
 
 
 def _eta_closed(params: ModelParams, n: int) -> tuple[np.ndarray, PhaseRegion]:
+    import numpy as np
+
     region, disc = _phase_regular(params, n)
     coupling = params.mu * math.sqrt(n + 1.0)
     sign = 1.0 if params.delta > 0.0 else -1.0
@@ -164,6 +174,8 @@ def eta_from_vectors(params: ModelParams, n: int) -> np.ndarray:
     carries rounding-level imaginary parts from complex arithmetic in the
     broken region.
     """
+    import numpy as np
+
     n = check_subspace_index(n)
     _phase_regular(params, n)
     system = fix_gauge_balanced(biortho_system(build_block(params, n)))
@@ -180,6 +192,8 @@ def verify_metric(params: ModelParams, n: int) -> MetricDiagnostics:
     rounding) in the unbroken region only; in the broken region it is a
     finite documented quantity, reported but not required to be zero.
     """
+    import numpy as np
+
     g = eta(params, n).matrix
     h = build_block(params, n)
     symmetry_residual = float(np.linalg.norm(g - g.T))

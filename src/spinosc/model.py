@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Integral
+from typing import TYPE_CHECKING
 
 from .smallmat import _as_block
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ModelParams",
@@ -67,7 +70,7 @@ MAX_SUBSPACE = 2**53 - 1
 
 def check_subspace_index(n: int) -> int:
     """Validate an oscillator quantum number labeling a 2x2 invariant subspace."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    if isinstance(n, bool) or not isinstance(n, Integral):
         raise ValueError(f"subspace index must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"subspace index must be nonnegative, got {n}")
@@ -85,6 +88,8 @@ def build_block(params: ModelParams, n: int) -> np.ndarray:
     The off-diagonal pair is antisymmetric, which is the entire source of
     non-Hermiticity; the trace (2n+1)*homega is alpha- and mu-independent.
     """
+    import numpy as np
+
     n = check_subspace_index(n)
     coupling = params.mu * math.sqrt(n + 1.0)
     return np.array(
@@ -108,6 +113,8 @@ def sigma_z_residual(params: ModelParams, n: int) -> float:
     the off-diagonal signs exactly, so the residual is zero to rounding for
     every parameter choice.
     """
+    import numpy as np
+
     h = build_block(params, n)
     sz = np.diag([1.0, -1.0])
     return float(np.linalg.norm(sz @ h @ sz - adjoint_block(h)))

@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DefectiveMatrix",
@@ -55,6 +57,8 @@ def ep_tolerance(scale_sq: float) -> float:
 
 
 def _as_block(m) -> np.ndarray:
+    import numpy as np
+
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
@@ -64,6 +68,8 @@ def _as_block(m) -> np.ndarray:
 
 
 def _null_vector(m: np.ndarray, lam: complex) -> np.ndarray:
+    import numpy as np
+
     # (m - lam I) v = 0: both rows give a candidate; take the better conditioned one.
     a, b = m[0, 0], m[0, 1]
     c, d = m[1, 0], m[1, 1]
@@ -80,6 +86,8 @@ def eig2(m) -> tuple[Eigenpair2, Eigenpair2]:
     discriminant is below the scale-aware tolerance, unless the matrix is a
     scalar multiple of the identity (degenerate but diagonalizable).
     """
+    import numpy as np
+
     m = _as_block(m)
     a, b = m[0, 0], m[0, 1]
     c, d = m[1, 0], m[1, 1]
@@ -125,6 +133,8 @@ def expm2(m, scale: float) -> np.ndarray:
     terms are even in q, and sinh(s q)/q -> s is the removable singularity
     at q = 0 (coalescing eigenvalues), so one formula covers every block.
     """
+    import numpy as np
+
     m = _as_block(m)
     scale = float(scale)
     if not math.isfinite(scale):
@@ -142,6 +152,8 @@ def expm2(m, scale: float) -> np.ndarray:
 
 def eigN(m) -> np.ndarray:
     """All eigenvalues of a general complex dense matrix (oracle use only)."""
+    import numpy as np
+
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")

@@ -1,6 +1,6 @@
 """Closed-form block spectra, phase classification, and exceptional-point location.
 
-phase_test is the one home of the phase rule.  It forms the discriminant
+phase_rule is the one home of the phase rule.  It forms the discriminant
 delta**2 - 4*mu**2*(n+1) in real arithmetic before any square root, so the
 unbroken/broken decision is a sign test rather than a complex-rounding artifact.
 """
@@ -8,10 +8,9 @@ unbroken/broken decision is a sign test rather than a complex-rounding artifact.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .model import ModelParams, check_subspace_index
 from .smallmat import ep_tolerance
@@ -20,7 +19,7 @@ __all__ = [
     "PhaseRegion",
     "Spectrum2",
     "NoSignChange",
-    "phase_test",
+    "phase_rule",
     "phase",
     "discriminant",
     "classify",
@@ -55,19 +54,24 @@ class Spectrum2:
     discriminant: float
 
 
-def phase_test(delta: float, n: int, mu):
-    """(disc, exceptional) of subspace n at a coupling mu, a float or an array.
+def phase_rule(delta: float, n: int) -> Callable[[float], tuple[float, bool]]:
+    """The phase test of subspace n: a function of one coupling mu giving (disc, exceptional).
 
     disc = delta**2 - 4*mu**2*(n+1), and exceptional is |disc| <
-    ep_tolerance(delta**2).  n must already be validated.  Raises ValueError
-    where disc leaves double range.
+    ep_tolerance(delta**2).  n must already be validated.  The test raises
+    ValueError where disc leaves double range.
     """
     delta_sq = delta * delta
-    with np.errstate(over="ignore", invalid="ignore"):
-        disc = delta_sq - 4.0 * (mu * mu) * (n + 1)
-    if not np.isfinite(disc).all():
-        raise ValueError(f"the discriminant of subspace {n} overflows: alpha, homega or mu is too large")
-    return disc, abs(disc) < ep_tolerance(delta_sq)
+    tolerance = ep_tolerance(delta_sq)
+    levels, inf = n + 1, math.inf
+
+    def test(mu: float) -> tuple[float, bool]:
+        disc = delta_sq - 4.0 * (mu * mu) * levels
+        if not -inf < disc < inf:
+            raise ValueError(f"the discriminant of subspace {n} overflows: alpha, homega or mu is too large")
+        return disc, abs(disc) < tolerance
+
+    return test
 
 
 def phase(params: ModelParams, n: int) -> tuple[PhaseRegion, float]:
@@ -76,7 +80,7 @@ def phase(params: ModelParams, n: int) -> tuple[PhaseRegion, float]:
     The coalescence point is its own region, not part of the unbroken side:
     the metric and the partition function are singular there.
     """
-    disc, exceptional = phase_test(params.delta, check_subspace_index(n), params.mu)
+    disc, exceptional = phase_rule(params.delta, check_subspace_index(n))(params.mu)
     if exceptional:
         return PhaseRegion.EXCEPTIONAL, disc
     return (PhaseRegion.UNBROKEN if disc > 0.0 else PhaseRegion.BROKEN), disc
@@ -114,7 +118,7 @@ def critical_coupling(params: ModelParams, n: int) -> float:
 def locate_ep_numeric(alpha: float, homega: float, n: int, bracket: tuple[float, float]) -> float:
     """Bisection on the discriminant sign over a mu bracket.
 
-    Independent of critical_coupling and phase_test: only evaluates
+    Independent of critical_coupling and phase_rule: only evaluates
     delta**2 - 4*mu**2*(n+1) and halves the bracket until it is narrower than
     1e-12 or its ends are adjacent doubles.
     """

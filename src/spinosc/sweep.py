@@ -1,17 +1,18 @@
 """Coupling sweeps over subspaces and deterministic CSV/JSON emission.
 
 run_sweep evaluates the grid in parts of at most _PART_ROWS steps, one call
-of the array kernel thermo.closed_forms per subspace and part, and returns
-the columns as SweepBlocks, the form in which emit and the renderers take a
-sweep.  Rows near a coalescence point (within ep_window of the critical
-coupling) are tagged Exceptional and carry no observables; undefined values
-serialize as empty CSV fields / JSON nulls, never as sentinel numbers.  emit
-writes one block at a time, formatting the mu texts once per distinct mu
-array.  A renderer builds a block's text with one `%` over its defined
-observables: each row is a head (n), its mu text and a template chosen by
-its region, valid flag and which observables are defined, with tau, mu_c and
-the words baked in.  A JSON number goes through _json_numbers only where its
-.12g text may differ from it.  Output is byte-identical for identical inputs.
+of the kernel thermo.closed_forms per subspace and part, and returns the
+kernel's row codes and values as SweepBlocks, the form in which emit and the
+renderers take a sweep.  Rows near a coalescence point (within ep_window of
+the critical coupling) are tagged Exceptional and carry no observables;
+undefined values serialize as empty CSV fields / JSON nulls, never as
+sentinel numbers.  emit writes one block at a time, and formats the mu texts
+of each grid part once per sweep.  A renderer builds a block's text with one
+`%` over its defined observables: each row is a head (n), its mu text and
+the template of its kernel code, with tau, mu_c, the region and the valid
+flag baked in.  A JSON observable whose .12g text is not json's number for it
+is rewritten afterwards, found by cheap tests on the whole block first.
+Output is byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -20,16 +21,17 @@ import io
 import math
 import re
 import sys
+from array import array
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from .model import ModelParams, check_subspace_index
 from .spectral import critical_coupling, discriminant
-from .thermo import REGIONS, ClosedForms, closed_forms
+from .thermo import ClosedForms, closed_forms, row_kind
 
 __all__ = ["SweepSpec", "SweepBlock", "run_sweep", "emit", "CSV_HEADER", "MAX_ROWS"]
 
@@ -39,11 +41,9 @@ MAX_ROWS = 1_000_000
 """Largest grid a sweep evaluates: distinct subspaces times steps.
 
 The kernel evaluates, and emit writes, at most _PART_ROWS steps at a time,
-and the columns wait for emit, so the peak resident memory of a `spinosc
-sweep` grows by about 35-55 bytes per row over a ~30 MB start (44 MB at
-400k rows of 2,000 steps; one subspace of 1M steps 79 MB as CSV, 84 MB as
-JSON; Python 3.11, numpy 2.4, x86-64).  Split a larger grid into several
-sweeps.
+and the codes and values wait for emit; README gives the peak resident
+memory this costs (under ~75 MB at the cap).  Split a larger grid into
+several sweeps.
 """
 
 
@@ -76,7 +76,7 @@ class SweepSpec:
             raise ValueError(f"mu_min must be below mu_max, got [{self.mu_min}, {self.mu_max}]")
         # ModelParams checks alpha and homega; |disc| peaks at mu_max in the top subspace.
         discriminant(ModelParams(self.alpha, self.homega, self.mu_max), max(self.subspaces))
-        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)) or self.steps < 2:
+        if isinstance(self.steps, bool) or not isinstance(self.steps, Integral) or self.steps < 2:
             raise ValueError(f"steps must be an integer >= 2, got {self.steps!r}")
         if len(set(self.subspaces)) * self.steps > MAX_ROWS:
             raise ValueError(
@@ -88,11 +88,11 @@ class SweepSpec:
 
 
 class SweepBlock(NamedTuple):
-    """One subspace's sweep over one part of the mu grid: the kernel's output columns."""
+    """One subspace's sweep over one part of the mu grid: the kernel's output for it."""
 
     n: int
     mu_c: float
-    mu: np.ndarray
+    mu: array
     tau: float
     columns: ClosedForms
 
@@ -106,14 +106,17 @@ def run_sweep(spec: SweepSpec) -> list[SweepBlock]:
 
     A part is at most _PART_ROWS steps; the blocks of a part share its mu array.
     """
-    mu = spec.mu_min + np.arange(spec.steps) * ((spec.mu_max - spec.mu_min) / (spec.steps - 1))
-    parts = [mu[start : start + _PART_ROWS] for start in range(0, spec.steps, _PART_ROWS)]
+    width = (spec.mu_max - spec.mu_min) / (spec.steps - 1)
+    parts = [
+        array("d", [spec.mu_min + i * width for i in range(start, min(start + _PART_ROWS, spec.steps))])
+        for start in range(0, spec.steps, _PART_ROWS)
+    ]
     tau = float(spec.tau)
     blocks = []
     for n in sorted(set(spec.subspaces)):
         mu_c = critical_coupling(ModelParams(spec.alpha, spec.homega, 0.0), n)
         for part in parts:
-            columns = closed_forms(spec.alpha, spec.homega, n, part, tau, np.abs(part - mu_c) <= spec.ep_window)
+            columns = closed_forms(spec.alpha, spec.homega, n, part, tau, (mu_c, spec.ep_window))
             blocks.append(SweepBlock(n, mu_c, part, tau, columns))
     return blocks
 
@@ -126,7 +129,8 @@ def _csv_numbers(values: list[float]) -> list[str]:
 # .12g texts whose JSON number is not a string rule away: exponents 12 to 15,
 # which json writes positionally, and subnormals, whose shortest repr can
 # have fewer digits than their .12g text.
-_REPR_TEXT = re.compile(r"^.*e(?:\+1[2-5]|-30[89]|-3[12]\d)$", re.MULTILINE)
+_REPR_EXPONENT = r"e(?:\+1[2-5]|-30[89]|-3[12]\d)"
+_REPR_TEXT = re.compile(rf"^.*{_REPR_EXPONENT}$", re.MULTILINE)
 
 
 def _json_numbers(values: list[float]) -> list[str]:
@@ -138,27 +142,31 @@ def _json_numbers(values: list[float]) -> list[str]:
     return [t if "." in t or "e" in t else t + ".0" for t in text.split("\n")[:-1]]
 
 
+# The same rules for an observable field of a rendered JSON record, whose
+# .12g text the template wrote.
+_JSON_INTEGER = re.compile(r'("(?:Z|F|S|Cv)": -?\d+),')
+_JSON_REPR = re.compile(rf'("(?:Z|F|S|Cv)": )(-?[\d.]+{_REPR_EXPONENT}),')
+
+
 _JSON_KEYS = ("n", "mu", "tau", "region", "mu_c", "Z", "F", "S", "Cv", "valid")
 _FLAGS = ("false", "true")
-_DIGITS = (27, 9, 3, 1)  # a row's Z, F, S and Cv kinds as one base-3 number
 
 
-def _render(block: SweepBlock, mu_texts: list[str], kinds: np.ndarray, args: list, head: str, sep: str, template) -> str:
+def _render(block: SweepBlock, mu_texts: list[str], args: list, head: str, sep: str, template) -> str:
     """The block's rows, each head + mu text + its template, filled by one % from args.
 
-    kinds[i, j] is 0 (undefined), 1 (%.12g) or 2 (%s) for row i's observable
-    j.  template(region, valid, kinds) serves every row with that key; sep
-    and the next row's head follow it, and are cut after the last row.
+    template(region, valid, defined) serves every row of one kernel code;
+    defined holds a flag per observable.  sep and the next row's head
+    follow it, and are cut after the last row.
     """
-    columns = block.columns
-    keys = (columns.region.astype(np.intp) * 162 + columns.valid * 81 + kinds @ _DIGITS).tolist()
-    templates = {
-        key: template(REGIONS[key // 162].value, _FLAGS[key // 81 % 2], [key // d % 3 for d in _DIGITS]) + sep + head
-        for key in set(keys)
-    }
-    pieces = [head] * (2 * len(keys) + 1)
+    codes = block.columns.codes
+    templates = {}
+    for code in set(codes):
+        region, defined = row_kind(code)
+        templates[code] = template(region.value, _FLAGS[all(defined[1:])], defined) + sep + head
+    pieces = [head] * (2 * len(codes) + 1)
     pieces[1::2] = mu_texts
-    pieces[2::2] = map(templates.__getitem__, keys)
+    pieces[2::2] = map(templates.__getitem__, codes)
     pieces[-1] = pieces[-1][: -len(sep + head)]
     return "".join(pieces) % tuple(args)
 
@@ -173,13 +181,11 @@ def render_csv(block: SweepBlock | list[SweepBlock], mu_texts: list[str] | None 
     if mu_texts is None:
         mu_texts = _csv_numbers(block.mu.tolist())
     tau, mu_c = _csv_numbers([block.tau, block.mu_c])
-    values = np.column_stack(block.columns[1:5])
-    defined = ~np.isnan(values)
 
-    def template(region, valid, kinds):
-        return ",".join(["", tau, region, mu_c, *(("", "%.12g")[kind] for kind in kinds), valid]) + "\n"
+    def template(region, valid, defined):
+        return ",".join(["", tau, region, mu_c, *(("", "%.12g")[flag] for flag in defined), valid]) + "\n"
 
-    return _render(block, mu_texts, defined, values[defined].tolist(), f"{block.n},", "", template)
+    return _render(block, mu_texts, block.columns.values.tolist(), f"{block.n},", "", template)
 
 
 def render_json(block: SweepBlock | list[SweepBlock], mu_texts: list[str] | None = None) -> str:
@@ -194,26 +200,23 @@ def render_json(block: SweepBlock | list[SweepBlock], mu_texts: list[str] | None
     if mu_texts is None:
         mu_texts = _json_numbers(block.mu.tolist())
     tau, mu_c = _json_numbers([block.tau, block.mu_c])
-    values = np.column_stack(block.columns[1:5])
-    defined = ~np.isnan(values)
-    size = np.abs(values)
-    # Every value whose .12g text may not be its JSON number goes through
-    # _json_numbers: near-integers (the ".0" rule, ±0 too; the test holds for
-    # every |x| >= 5e10, so exponents 12 to 15 as well) and subnormals.
-    # Flagging a value too many costs time only; missing one changes bytes.
-    slow = (np.abs(values - np.rint(values)) <= 1e-11 * size) | (size < 1e-307)
-    args = values[defined].tolist()
-    at = np.flatnonzero(slow[defined]).tolist()
-    if at:
-        for i, text in zip(at, _json_numbers([args[i] for i in at])):
-            args[i] = text
 
-    def template(region, valid, kinds):
-        texts = (tau, f'"{region}"', mu_c, *(("null", "%.12g", "%s")[kind] for kind in kinds), valid)
+    def template(region, valid, defined):
+        texts = (tau, f'"{region}"', mu_c, *(("null", "%.12g")[flag] for flag in defined), valid)
         return "".join(f',\n    "{key}": {text}' for key, text in zip(_JSON_KEYS[2:], texts)) + "\n  }"
 
     head = f'  {{\n    "n": {block.n},\n    "mu": '
-    return _render(block, mu_texts, defined.astype(np.intp) + slow, args, head, ",\n", template)
+    args = block.columns.values.tolist()
+    text = _render(block, mu_texts, args, head, ",\n", template)
+    # Cheap whole-block tests decide whether a rule can apply: an integer
+    # text is a number without a ".", so there are fewer "." than numbers,
+    # and an exponent 12 to 15 has a "+".  Rewriting a text that needs no fix
+    # leaves it as it is; missing one changes bytes.
+    if text.count(".") < 3 * len(block.columns.codes) + len(args):
+        text = _JSON_INTEGER.sub(r"\1.0,", text)
+    if "+" in text or args and min(map(abs, args)) < 1e-307:
+        text = _JSON_REPR.sub(lambda match: f"{match[1]}{float(match[2])!r},", text)
+    return text
 
 
 def _write(blocks: Iterable[SweepBlock], format: str, handle) -> None:
@@ -222,14 +225,23 @@ def _write(blocks: Iterable[SweepBlock], format: str, handle) -> None:
     if csv:
         handle.write(CSV_HEADER + "\n")
     separator = between if csv else "[\n"
-    # A one-entry memo of mu texts: the blocks of one grid part share its mu
-    # array.  It holds the array, so the identity test cannot see a reused id.
-    mu = texts = None
+    # Blocks come n-major, so each grid part recurs once per subspace.  A
+    # part's mu texts are formatted at its first block and kept, joined,
+    # until its last.  The blocks list holds every part, so ids stay unique.
+    blocks = list(blocks)
+    uses = Counter(id(block.mu) for block in blocks)
+    kept = {}
     for block in blocks:
+        key = id(block.mu)
+        uses[key] -= 1
         if not len(block.mu):
             continue
-        if block.mu is not mu:
-            mu, texts = block.mu, numbers(block.mu.tolist())
+        if key in kept:
+            texts = (kept[key] if uses[key] else kept.pop(key)).split("\n")
+        else:
+            texts = numbers(block.mu.tolist())
+            if uses[key]:
+                kept[key] = "\n".join(texts)
         handle.write(separator)
         handle.write(render(block, texts))
         separator = between

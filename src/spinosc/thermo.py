@@ -14,14 +14,15 @@ and differentiating ln Z in tau:
   C_v        = (b/tau)^2 sech^2(b/tau)   >= 0
   C_v(broken)= -(bt/tau)^2 sec^2(bt/tau) <= 0
 
-One array kernel, closed_forms, evaluates these over a whole coupling grid
-of one subspace: region masks select the unbroken, broken and exceptional
-points, and NaN marks an undefined value inside it.  thermo_point and the
-scalar accessors run it on a one-point grid; run_sweep runs it once per
-subspace.  The row-by-row scalar version of the same formulas lives in the
-tests as the reference the kernel is held to.  The matrix trace itself
+One kernel, closed_forms, evaluates these over a coupling grid of one
+subspace with one math-module loop: each row gets a code (its region and
+which observables are defined) and its defined values, in row order.
+thermo_point and the scalar accessors run it on a one-point grid; run_sweep
+runs it once per subspace and part of the grid.  The row-by-row reference
+version of the same formulas lives in the tests.  The matrix trace itself
 (partition_function, free_energy) is the oracle the closed forms are
-validated against in the verification suite and the tests.
+validated against in the verification suite and the tests; it, and only it,
+imports numpy.
 finite_diff_check differentiates the matrix-route ln Z numerically and
 compares it with d lnZ/d tau = U/tau^2 and d2 lnZ/d tau2 derived from the
 kernel's F, S and C_v, so that oracle checks the production S and C_v.
@@ -38,22 +39,24 @@ the coalescence point itself: observables are undefined and accessors raise.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .metric import ExceptionalPoint, eta
 from .model import ModelParams, build_block, check_subspace_index
 from .smallmat import expm2
-from .spectral import PhaseRegion, phase_test
+from .spectral import PhaseRegion, phase_rule
 
 __all__ = [
     "StencilCrossesSingularity",
     "ThermoPoint",
     "DerivativeCheck",
     "REGIONS",
+    "OBSERVABLE_BITS",
     "ClosedForms",
+    "row_kind",
     "closed_forms",
     "partition_function",
     "free_energy",
@@ -107,6 +110,8 @@ def partition_function(params: ModelParams, n: int, tau: float) -> float:
     real metric; the imaginary residue is asserted below 1e-10 relative and
     discarded.
     """
+    import numpy as np
+
     n = check_subspace_index(n)
     tau = _check_tau(tau)
     g = eta(params, n).matrix
@@ -119,78 +124,116 @@ def partition_function(params: ModelParams, n: int, tau: float) -> float:
 
 REGIONS = (PhaseRegion.UNBROKEN, PhaseRegion.BROKEN, PhaseRegion.EXCEPTIONAL)
 
+OBSERVABLE_BITS = (8, 4, 2, 1)
+"""A row code's bit for each of Z, F, S and C_v, set where the value is defined."""
+
 
 class ClosedForms(NamedTuple):
-    """Observables over a coupling grid; NaN marks an undefined value."""
+    """Observables over a coupling grid, one code per row and the defined values in row order.
 
-    region: np.ndarray  # index into REGIONS
-    z: np.ndarray
-    free_energy: np.ndarray
-    entropy: np.ndarray
-    specific_heat: np.ndarray
-    valid: np.ndarray  # every observable defined
+    A row's code is 16 times its region's index in REGIONS plus the
+    OBSERVABLE_BITS of its defined observables; `values` holds those, in the
+    order Z, F, S, C_v, row after row.
+    """
+
+    codes: bytes
+    values: array
+
+
+def row_kind(code: int) -> tuple[PhaseRegion, list[bool]]:
+    """The region of a row code and, for each of Z, F, S and C_v, whether it is defined.
+
+    A row is valid where F, S and C_v are all defined.
+    """
+    return REGIONS[code >> 4], [bool(code & bit) for bit in OBSERVABLE_BITS]
 
 
 def closed_forms(
-    alpha: float, homega: float, n: int, mu: np.ndarray, tau: float, excluded: np.ndarray | None = None
+    alpha: float, homega: float, n: int, mu: Iterable[float], tau: float, window: tuple[float, float] | None = None
 ) -> ClosedForms:
     """Z, F, S and C_v of subspace n at every coupling in `mu`, at one tau.
 
-    A point is Exceptional where `excluded` is set or where
-    spectral.phase_test tags it, and has no observables.  n and tau must
-    already be validated.  Raises ValueError where the discriminant leaves
-    double range.
+    A point is Exceptional where spectral.phase_rule tags it, or within
+    window = (mu_c, ep_window) of mu_c, and has no observables.  n and tau
+    must already be validated.  Raises ValueError where the discriminant
+    leaves double range.
     """
-    mu = np.asarray(mu, dtype=float)
     delta = homega - alpha
-    disc, exceptional = phase_test(delta, n, mu)
+    test = phase_rule(delta, n)
     center = 0.5 * (2 * n + 1) * homega
     damping = math.exp(-center / tau)
-    z, f, s, cv = (np.full(mu.shape, np.nan) for _ in range(4))
-    with np.errstate(all="ignore"):
-        if excluded is not None:
-            exceptional |= excluded
-        unbroken = ~exceptional & (disc > 0.0)
-        broken = ~exceptional & (disc <= 0.0)
-
-        # At mu == 0 disc is exactly delta**2, whose sqrt is |delta| for every
-        # delta with a normal square: the Hermitian limit comes out exact.
-        d = np.sqrt(disc[unbroken])
-        x = 0.5 * d / tau
-        prefactor = 2.0 * abs(delta) / d
-        cosh = np.cosh(x)
-        z[unbroken] = prefactor * damping * cosh
-        s[unbroken] = np.log(prefactor) + np.log(cosh) - x * np.tanh(x)
-        cv[unbroken] = np.where(x > 350.0, 0.0, x**2 / cosh**2)
-
-        d = np.sqrt(-disc[broken])
-        prefactor = 4.0 * mu[broken] * math.sqrt(n + 1.0) / d
-        x = 0.5 * d / tau
-        c = np.cos(x)
-        t = np.tan(x)
-        z[broken] = prefactor * damping * c
-        s[broken] = np.log(prefactor) + np.log(c) + x * t
-        cv[broken] = -(x**2) * (1.0 + t**2)
-
-        # Z == 0 is an underflow: the closed form itself never vanishes.
-        z[z == 0.0] = np.nan
-        for values in (z, s, cv):
-            values[~np.isfinite(values)] = np.nan
-        positive = z > 0.0
-        f[positive] = -tau * np.log(z[positive])
-        f[~np.isfinite(f)] = np.nan
-        s[~positive] = np.nan
-    region = np.full(mu.shape, 2, dtype=np.int8)
-    region[unbroken] = 0
-    region[broken] = 1
-    return ClosedForms(region, z, f, s, cv, ~(np.isnan(f) | np.isnan(s) | np.isnan(cv)))
+    two_delta = 2.0 * abs(delta)
+    root = math.sqrt(n + 1.0)
+    mu_c, ep_window = window if window is not None else (0.0, -math.inf)
+    sqrt, cosh, tanh, cos, tan, log = math.sqrt, math.cosh, math.tanh, math.cos, math.tan, math.log
+    inf, nan = math.inf, math.nan
+    # A code is 16 * region (0 Unbroken, 1 Broken, 2 Exceptional) + the defined bits.
+    codes = bytearray()
+    end_row = codes.append
+    values = []
+    put = values.extend
+    for m in mu:
+        disc, exceptional = test(m)
+        if exceptional or abs(m - mu_c) <= ep_window:
+            end_row(32)
+            continue
+        # Z = prefactor * damping * c, and S = ln prefactor + ln c + slope.
+        if disc > 0.0:
+            # At mu == 0 disc is exactly delta**2, whose sqrt is |delta| for
+            # every delta with a normal square: the Hermitian limit comes out exact.
+            d = sqrt(disc)
+            x = 0.5 * d / tau
+            prefactor = two_delta / d
+            try:
+                c = cosh(x)
+            except OverflowError:  # cosh leaves double range past x ~ 710.48
+                c = inf
+            slope = -x * tanh(x)
+            cv = 0.0 if x > 350.0 else x * x / (c * c)
+            region = 0
+        else:
+            d = sqrt(-disc)
+            prefactor = 4.0 * m * root / d
+            x = 0.5 * d / tau
+            if x == inf:  # cos and tan of it are undefined
+                end_row(16)
+                continue
+            c = cos(x)
+            t = tan(x)
+            slope = x * t
+            cv = -(x * x) * (1.0 + t * t)
+            region = 16
+        z = prefactor * damping * c
+        if 0.0 < z < inf:
+            f = -tau * log(z)
+            s = log(prefactor) + log(c) + slope
+            if -inf < f + s + cv < inf:
+                put((z, f, s, cv))
+                end_row(region | 15)
+                continue
+        elif -inf < z < 0.0 and -inf < cv < inf:  # no F or S where Z < 0
+            put((z, cv))
+            end_row(region | 9)
+            continue
+        else:
+            f = s = nan
+        # Some value is out of range.  Z == 0 is an underflow: the closed
+        # form never vanishes.
+        code = region
+        for bit, value in zip(OBSERVABLE_BITS, (z, f, s, cv)):
+            if -inf < value < inf and (value or bit != 8):
+                code |= bit
+                put((value,))
+        end_row(code)
+    return ClosedForms(bytes(codes), array("d", values))
 
 
 def _point(params: ModelParams, n: int, tau: float):
     """(region, Z, F, S, C_v) from the kernel on a one-point grid; None where undefined."""
-    columns = closed_forms(params.alpha, params.homega, n, np.array([params.mu]), tau)
-    values = (float(column[0]) for column in columns[1:5])
-    return REGIONS[columns.region[0]], *(None if math.isnan(v) else v for v in values)
+    (code,), values = closed_forms(params.alpha, params.homega, n, (params.mu,), tau)
+    region, defined = row_kind(code)
+    values = iter(values)
+    return region, *(next(values) if flag else None for flag in defined)
 
 
 def _defined(params: ModelParams, n: int, tau: float):

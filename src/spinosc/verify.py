@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fullspace import block_decomposition_check, symmetry_report
 from .metric import eta, eta_from_vectors, verify_metric
 from .model import ModelParams, build_block, sigma_z_residual
@@ -41,6 +39,8 @@ def _bounded(name: str, worst: float, bound: float, measure: str, ok: bool = Tru
 
 
 def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list[CheckResult]:
+    import numpy as np
+
     if not 2 <= cutoff <= _MAX_CUTOFF:
         raise ValueError(f"cutoff must be in [2, {_MAX_CUTOFF}], got {cutoff}")
     results = []

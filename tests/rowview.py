@@ -1,20 +1,19 @@
 """Row view of sweep output for the tests: one record per (n, mu), None where undefined.
 
-The library hands out column blocks only; these records are what the tests
-compare row by row.
+The library hands out blocks of kernel codes and values only; these records
+are what the tests compare row by row.
 """
 
 import contextlib
 import io
 import json
-import math
-from itertools import repeat
+from array import array
 from typing import NamedTuple
 
 from spinosc.cli import main
 from spinosc.spectral import PhaseRegion
 from spinosc.sweep import run_sweep
-from spinosc.thermo import REGIONS
+from spinosc.thermo import OBSERVABLE_BITS, REGIONS, ClosedForms, row_kind
 
 
 class SweepRow(NamedTuple):
@@ -31,21 +30,26 @@ class SweepRow(NamedTuple):
 
 
 def block_rows(block):
-    """The block's rows in mu order; None where NaN marks an undefined value."""
-    columns = block.columns
-    observables = ([None if math.isnan(v) else v for v in values.tolist()] for values in columns[1:5])
-    return map(
-        SweepRow._make,
-        zip(
-            repeat(block.n),
-            block.mu.tolist(),
-            repeat(block.tau),
-            map(REGIONS.__getitem__, columns.region.tolist()),
-            repeat(block.mu_c),
-            *observables,
-            columns.valid.tolist(),
-        ),
-    )
+    """The block's rows in mu order; None where the kernel left a value undefined."""
+    codes, values = block.columns
+    defined = iter(values.tolist())
+    for mu, code in zip(block.mu.tolist(), codes):
+        region, flags = row_kind(code)
+        observables = (next(defined) if flag else None for flag in flags)
+        yield SweepRow(block.n, mu, block.tau, region, block.mu_c, *observables, all(flags[1:]))
+
+
+def columns_of(regions, z, free_energy, entropy, specific_heat):
+    """The kernel's columns for hand-made rows: a region per row, None where a value is undefined."""
+    codes, values = bytearray(), array("d")
+    for region, row in zip(regions, zip(z, free_energy, entropy, specific_heat)):
+        code = REGIONS.index(region) << 4
+        for bit, value in zip(OBSERVABLE_BITS, row):
+            if value is not None:
+                code |= bit
+                values.append(value)
+        codes.append(code)
+    return ClosedForms(bytes(codes), values)
 
 
 def rows_of(blocks):

@@ -273,3 +273,26 @@ def test_output_file_and_stdout_carry_the_same_bytes(tmp_path, format):
         outputs += [target.read_bytes(), to_stdout.stdout.encode()]
     assert len(set(outputs)) == 1
     assert outputs[0] == run_cli(*args[:2], "0", "1", "3", *args[6:]).stdout.encode()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--alpha", "-1e3", "spectrum", "--n", "0", "--mu", "1"),
+        ("--alpha", "-2.5e1", "spectrum", "--n", "0", "--mu", "1"),
+        ("--alpha", "-1E3", "spectrum", "--n", "0", "--mu", "1"),
+        ("--alpha", "-5.", "thermo", "--n", "0", "--mu", "1"),
+        ("--homega", "-1e-3", "spectrum", "--n", "0", "--mu", "1"),
+        ("sweep", "--steps", "3", "--mu-min", "-1e-3"),
+        ("sweep", "--steps", "3", "--tau", "-1e3"),
+        ("thermo", "--n", "0", "--mu", "-2.5E-1"),
+    ],
+)
+def test_negative_numbers_in_exponent_form_read_as_values(args):
+    # Each spelling must behave as its "=" form: the same stdout, stderr and exit code.
+    i = next(k for k, arg in enumerate(args) if arg.startswith("-") and not arg.startswith("--"))
+    joined = (*args[: i - 1], f"{args[i - 1]}={args[i]}", *args[i + 1 :])
+    spaced, equals = run_cli(*args), run_cli(*joined)
+    assert (spaced.returncode, spaced.stdout, spaced.stderr) == (equals.returncode, equals.stdout, equals.stderr)
+    assert spaced.returncode in (0, 2) and "Traceback" not in spaced.stderr
+    assert "expected one argument" not in spaced.stderr

@@ -1,11 +1,11 @@
-"""The array kernel against the row-by-row scalar closed forms and 50-digit values.
+"""The grid kernel against the row-by-row scalar closed forms and 50-digit values.
 
 `reference_row` is the math-module evaluation that run_sweep used to make one
 point at a time; closed_forms must reproduce it on every row of the blocks.  Regions,
 validity and which fields are undefined must match exactly.  Values may differ
-by the ulps in which numpy's and libm's cos, tan, cosh, tanh, exp and log
-round, amplified where S or F is a small difference of O(1) terms; TOL bounds
-that, fixed from the float64 machine epsilon on the max(1, |ref|) scale.
+by a few ulps of rounding, amplified where S or F is a small difference of O(1)
+terms; TOL bounds that, fixed from the float64 machine epsilon on the
+max(1, |ref|) scale.
 """
 
 import math
@@ -17,7 +17,7 @@ import pytest
 from spinosc.model import ModelParams
 from spinosc.spectral import PhaseRegion, classify, critical_coupling, discriminant
 from spinosc.sweep import SweepSpec
-from spinosc.thermo import REGIONS, closed_forms, entropy, specific_heat, thermo_point
+from spinosc.thermo import OBSERVABLE_BITS, closed_forms, entropy, row_kind, specific_heat, thermo_point
 
 from rowview import sweep_rows
 
@@ -134,20 +134,25 @@ def test_thermo_point_is_the_kernel_on_one_point():
 
 
 def test_kernel_masks_excluded_points():
-    mu = np.array([1.0, 2.5, 3.0])
-    columns = closed_forms(5.0, 1.0, 0, mu, 1.0, np.array([False, True, False]))
-    assert columns.region.tolist() == [0, 2, 1]
-    assert np.isnan(columns.z[1]) and np.isnan(columns.specific_heat[1])
-    assert columns.valid.tolist() == [True, False, False]  # Z < 0 at mu = 3, tau = 1
+    # The window (mu_c, ep_window) = (2.5, 0) excludes the middle point only.
+    codes, values = closed_forms(5.0, 1.0, 0, [1.0, 2.5, 3.0], 1.0, (2.5, 0.0))
+    kinds = [row_kind(code) for code in codes]
+    assert kinds == [
+        (PhaseRegion.UNBROKEN, [True] * 4),
+        (PhaseRegion.EXCEPTIONAL, [False] * 4),
+        (PhaseRegion.BROKEN, [True, False, False, True]),  # Z < 0 at mu = 3, tau = 1
+    ]
+    assert len(values) == 4 + 2
 
 
 def test_kernel_raises_no_runtime_warning_at_extremes():
-    mu = np.linspace(0.0, 4.0, 41)
-    for tau in (1e-320, 1e-160, 1e-3, 1e300):
-        with np.errstate(all="raise"):
-            columns = closed_forms(5.0, 1.0, 3, mu, tau)
-        for values in columns[1:5]:
-            assert not np.isinf(values).any()
+    # math raises where numpy returned inf or NaN: cos(inf) at tau = 5e-324,
+    # cosh past x ~ 710, x**2 past 1.3e154.  The kernel must not reach any.
+    mu = [0.1 * k for k in range(41)]
+    for tau in (5e-324, 1e-320, 1e-160, 1e-3, 1e300):
+        for n in (0, 3, 2**53 - 1):
+            _, values = closed_forms(5.0, 1.0, n, mu, tau)
+            assert all(math.isfinite(value) for value in values)
 
 
 def _exact(alpha, homega, n, mu, tau):
@@ -206,7 +211,7 @@ def test_overflowing_discriminant_is_a_value_error():
     with pytest.raises(ValueError, match="overflows"):
         thermo_point(ModelParams(5.0, 1.0, 1e300), 0, 1.0)
     with pytest.raises(ValueError, match="overflows"):
-        closed_forms(5.0, 1.0, 0, np.array([1.0, 1e200]), 1.0)
+        closed_forms(5.0, 1.0, 0, [1.0, 1e200], 1.0)
 
 
 def test_unbroken_cv_is_zero_past_x_350():
@@ -218,8 +223,20 @@ def test_unbroken_cv_is_zero_past_x_350():
         assert specific_heat(params, 0, tau) == 0.0
 
 
-def _undefined_as_nan(values, defined=True):
-    return np.where(np.isfinite(values) & defined, values, np.nan)
+def _two_level_row(n, homega, delta, tau):
+    """(Z, F, S, C_v) of the Hermitian two-level form, None where undefined."""
+    x = 0.5 * abs(delta) / tau
+    try:
+        cosh = math.cosh(x)
+    except OverflowError:
+        cosh = math.inf
+    z = 2.0 * math.exp(-0.5 * (2 * n + 1) * homega / tau) * cosh
+    cv = 0.0 if x > 350.0 else x * x / (cosh * cosh)
+    if not 0.0 < abs(z) < math.inf:
+        return None, None, None, cv
+    f = -tau * math.log(z)
+    s = math.log(2.0) + math.log(cosh) - x * math.tanh(x)
+    return z, f if math.isfinite(f) else None, s if math.isfinite(s) else None, cv
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -228,25 +245,18 @@ def test_hermitian_limit_is_the_two_level_form_bit_for_bit(n, sign):
     # At mu = +-0 the discriminant is exactly delta**2 and sqrt(delta**2) is
     # |delta|, so the general unbroken form gives Z = 2 e^{-center/tau}
     # cosh(|delta|/2tau), and S, C_v from it, in the same operations.
-    homega, mu = 1.0, np.array([0.0, -0.0])
+    homega = 1.0
     defined = 0
-    for magnitude in np.logspace(-5, 150, 156):
+    for magnitude in np.logspace(-5, 150, 156).tolist():
         alpha = homega - sign * magnitude
         delta = homega - alpha
         for tau in (1.0, 1e-3 * magnitude, 0.3 * magnitude, magnitude, 1e3 * magnitude):
-            got = closed_forms(alpha, homega, n, mu, tau)
-            with np.errstate(all="ignore"):
-                x = np.full(2, 0.5 * abs(delta)) / tau
-                cosh = np.cosh(x)
-                z = 2.0 * math.exp(-0.5 * (2 * n + 1) * homega / tau) * cosh
-                z = _undefined_as_nan(z, z != 0.0)
-                f = _undefined_as_nan(-tau * np.log(z))
-                s = _undefined_as_nan(np.log(np.full(2, 2.0)) + np.log(cosh) - x * np.tanh(x), z > 0.0)
-                cv = _undefined_as_nan(np.where(x > 350.0, 0.0, x**2 / cosh**2))
-            assert got.region.tolist() == [0, 0]
-            for value, expected in zip(got[1:5], (z, f, s, cv)):
-                assert _undefined_as_nan(value).tobytes() == expected.tobytes()
-            defined += int(got.valid.sum())
+            codes, values = closed_forms(alpha, homega, n, [0.0, -0.0], tau)
+            row = _two_level_row(n, homega, delta, tau)
+            code = sum(bit for bit, value in zip(OBSERVABLE_BITS, row) if value is not None)  # region 0
+            assert codes == bytes([code, code])
+            assert [value.hex() for value in values] == [value.hex() for value in row if value is not None] * 2
+            defined += sum(all(row_kind(code)[1][1:]) for code in codes)
     assert defined > 1000
 
 
@@ -258,7 +268,6 @@ def test_kernel_and_classify_share_the_phase_rule(n, scale):
     # every scale of the inputs.
     alpha, homega, tau = 5.0 * scale, 1.0 * scale, 1.3 * scale
     mu_c = critical_coupling(ModelParams(alpha, homega, 0.0), n)
-    mu = np.array([mu_c * (1.0 + sign * k * 1e-13) for k in range(21) for sign in (1.0, -1.0)])
-    region = closed_forms(alpha, homega, n, mu, tau, excluded=None).region
-    expected = [REGIONS.index(classify(ModelParams(alpha, homega, m), n)) for m in mu]
-    assert region.tolist() == expected
+    mu = [mu_c * (1.0 + sign * k * 1e-13) for k in range(21) for sign in (1.0, -1.0)]
+    region = [row_kind(code)[0] for code in closed_forms(alpha, homega, n, mu, tau).codes]
+    assert region == [classify(ModelParams(alpha, homega, m), n) for m in mu]

@@ -1,5 +1,6 @@
 import io
 import json
+from array import array
 
 import numpy as np
 import pytest
@@ -12,15 +13,16 @@ from spinosc.sweep import (
     MAX_ROWS,
     SweepBlock,
     SweepSpec,
+    _csv_numbers,
     _json_numbers,
     emit,
     render_csv,
     render_json,
     run_sweep,
 )
-from spinosc.thermo import REGIONS, ClosedForms, thermo_point
+from spinosc.thermo import REGIONS, thermo_point
 
-from rowview import SweepRow, block_rows, cli_rows, rows_of, sweep_rows
+from rowview import SweepRow, block_rows, cli_rows, columns_of, rows_of, sweep_rows
 
 
 def _spec(**overrides):
@@ -263,15 +265,9 @@ def render_json_reference(rows):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _block(n, mu_c, mu, tau, regions, z, free_energy, entropy, specific_heat, valid):
-    """A hand-made block; None becomes the NaN that marks an undefined value."""
-
-    def column(values):
-        return np.array([np.nan if value is None else value for value in values])
-
-    region = np.array([REGIONS.index(r) for r in regions], dtype=np.int8)
-    columns = ClosedForms(region, *map(column, (z, free_energy, entropy, specific_heat)), np.array(valid, dtype=bool))
-    return SweepBlock(n, mu_c, np.array(mu), tau, columns)
+def _block(n, mu_c, mu, tau, regions, z, free_energy, entropy, specific_heat):
+    """A hand-made block; None marks an undefined value, and a row is valid where F, S and C_v are defined."""
+    return SweepBlock(n, mu_c, array("d", mu), tau, columns_of(regions, z, free_energy, entropy, specific_heat))
 
 
 def _byte_identity_blocks():
@@ -289,14 +285,14 @@ def _byte_identity_blocks():
         # positional notation and .12g does not.
         _block(
             7, 1.5, [0.0, -0.0], 2.0, [unbroken] * 2,
-            [-0.0, 0.0], [1e12, -2.5e15], [123456789012345.0, 1e16], [5e-324, -1e-5], [True, False],
+            [-0.0, 0.0], [1e12, -2.5e15], [123456789012345.0, 1e16], [5e-324, -1e-5],
         ),
         # The same tau as the block above, held by a distinct object.
         _block(
             8, 1e20, [1e-4, 123456789012.5], float("2"), [broken, exceptional],
-            [None, None], [None, None], [0.1 + 0.2, None], [1 / 3, None], [False, False],
+            [None, None], [None, None], [0.1 + 0.2, None], [1 / 3, None],
         ),
-        _block(9, 9.999999999995, [999999999999.5], 3.0, [exceptional], [None], [None], [None], [None], [False]),
+        _block(9, 9.999999999995, [999999999999.5], 3.0, [exceptional], [None], [None], [None], [None]),
     ]
     assert blocks[-3].tau == blocks[-2].tau and blocks[-3].tau is not blocks[-2].tau
     return blocks
@@ -333,7 +329,7 @@ def test_empty_render_matches_the_row_renderers():
 
 
 def test_empty_block_renders_nothing():
-    empty = _block(7, 1.5, [], 2.0, [], [], [], [], [], [])
+    empty = _block(7, 1.5, [], 2.0, [], [], [], [], [])
     assert render_csv(empty) == render_json(empty) == ""
     blocks = run_sweep(_spec(steps=3))
     for format in ("csv", "json"):
@@ -364,7 +360,7 @@ def _property_blocks():
 
     Seeded: the JSON rule values, near-integers k (1 +- u 1e-11) up to 12
     digits, values across [1e11, 1e16], subnormals up to 1e-307 and signed
-    zeros, with NaN holes, in all three regions with both valid flags.
+    zeros, with undefined holes, in all three regions with both valid flags.
     Blocks 2k and 2k + 1 share their mu array, as the blocks of a grid part do.
     """
     rng = np.random.default_rng(6)
@@ -378,17 +374,20 @@ def _property_blocks():
     rng.shuffle(values)
     assert len(values) == 111_863
     observables = np.append(values, values[:1]).reshape(-1, 4)
-    observables[rng.random(observables.shape) < 0.15] = np.nan
+    holes = rng.random(observables.shape) < 0.15
     rows = len(observables)
-    region = rng.integers(0, 3, rows).astype(np.int8)
-    valid = rng.random(rows) < 0.5
+    regions = [REGIONS[k] for k in rng.integers(0, 3, rows).tolist()]
+    observables = [
+        [None if hole else value for value, hole in zip(row, row_holes)]
+        for row, row_holes in zip(observables.tolist(), holes.tolist())
+    ]
     blocks, size = [], 2_000
     for n, start in enumerate(range(0, rows, size)):
         stop = min(start + size, rows)
         if n % 2 == 0:
-            mu = values[start:stop]
-        tau, mu_c = values[n], values[-n - 1]
-        columns = ClosedForms(region[start:stop], *observables[start:stop].T, valid[start:stop])
+            mu = array("d", values[start:stop].tolist())
+        tau, mu_c = float(values[n]), float(values[-n - 1])
+        columns = columns_of(regions[start:stop], *zip(*observables[start:stop]))
         blocks.append(SweepBlock(n, mu_c, mu[: stop - start], tau, columns))
     return blocks
 
@@ -430,3 +429,29 @@ def test_json_observables_bypass_the_number_rule_on_the_unbroken_grid(tmp_path, 
     assert main([*argv, "--output", str(tmp_path / "sweep.json")]) == 0
     blocks = run_sweep(_spec(alpha=41.0, subspaces=tuple(range(25)), steps=2001))
     assert calls == [blocks[0].mu.tolist()] + [[5.0, block.mu_c] for block in blocks]
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_each_grid_part_is_formatted_once_per_sweep(monkeypatch, format):
+    # Blocks come n-major, so with three parts and three subspaces the blocks
+    # of one part are never adjacent; each part's mu texts are still
+    # formatted once, and the bytes are those of rendering each block alone.
+    monkeypatch.setattr("spinosc.sweep._PART_ROWS", 5)
+    blocks = run_sweep(_spec(subspaces=(0, 1, 2), steps=12))
+    parts = [block.mu.tolist() for block in blocks[:3]]
+    assert [len(part) for part in parts] == [5, 5, 2] and len(blocks) == 9
+    render, join = {
+        "csv": (render_csv, lambda texts: CSV_HEADER + "\n" + "".join(texts)),
+        "json": (render_json, lambda texts: "[\n" + ",\n".join(texts) + "\n]\n"),
+    }[format]
+    expected = join(render(block) for block in blocks)
+    name = f"spinosc.sweep._{format}_numbers"
+    numbers, calls = (_csv_numbers if format == "csv" else _json_numbers), []
+
+    def counted(values):
+        calls.append(values)
+        return numbers(values)
+
+    monkeypatch.setattr(name, counted)
+    assert _document(blocks, format) == expected
+    assert [values for values in calls if values in parts] == parts
