@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 usage/validation error, 3 all observables undefined
-at the requested point, 4 verification failure.  Data output is a pure
-rendering of library results and is byte-identical across identical runs.
+Exit codes: 0 success, 2 usage/validation error, 3 requested point sits on a
+coalescence (all observables undefined), 4 verification failure.  Data output
+is a pure rendering of library results and is byte-identical across identical
+runs.
 """
 
 from __future__ import annotations

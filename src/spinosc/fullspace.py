@@ -13,25 +13,20 @@ comparisons exclude that single leftover basis state instead of padding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 from .model import ModelParams
 from .smallmat import eigN
 from .spectral import block_spectrum
 
 __all__ = [
-    "TruncatedSpace",
     "assemble_full",
     "block_decomposition_check",
     "symmetry_report",
     "BlockCheck",
     "SymmetryReport",
 ]
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Spin operators in the order [+1/2, -1/2], as complex matrices once numpy holds them.
 _SIGMA_Z = [[1.0, 0.0], [0.0, -1.0]]
@@ -40,22 +35,13 @@ _SIGMA_PLUS = [[0.0, 1.0], [0.0, 0.0]]
 _SIGMA_MINUS = [[0.0, 0.0], [1.0, 0.0]]
 
 
-@dataclass(frozen=True)
-class TruncatedSpace:
-    """Oscillator levels 0..cutoff kept; total dimension 2*(cutoff+1)."""
-
-    cutoff: int
-
-    def __post_init__(self):
-        if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, Integral):
-            raise ValueError(f"cutoff must be an integer, got {self.cutoff!r}")
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        object.__setattr__(self, "cutoff", int(self.cutoff))
-
-    @property
-    def dim(self) -> int:
-        return 2 * (self.cutoff + 1)
+def _check_cutoff(cutoff: int) -> int:
+    """Validate the top oscillator level kept; the space has dimension 2*(cutoff+1)."""
+    if isinstance(cutoff, bool) or not isinstance(cutoff, Integral):
+        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    return int(cutoff)
 
 
 def _lowering(levels: int) -> np.ndarray:
@@ -67,11 +53,11 @@ def _lowering(levels: int) -> np.ndarray:
     return a
 
 
-def assemble_full(params: ModelParams, space: TruncatedSpace) -> np.ndarray:
-    """(alpha/2) sigma_z + homega a^dag a + mu (sigma_+ a - sigma_- a^dag) on the truncated space."""
+def assemble_full(params: ModelParams, cutoff: int) -> np.ndarray:
+    """(alpha/2) sigma_z + homega a^dag a + mu (sigma_+ a - sigma_- a^dag) on oscillator levels 0..cutoff."""
     import numpy as np
 
-    levels = space.cutoff + 1
+    levels = _check_cutoff(cutoff) + 1
     a = _lowering(levels)
     number = a.conj().T @ a
     eye_osc = np.eye(levels, dtype=complex)
@@ -93,15 +79,14 @@ def _pt_image(h: np.ndarray) -> np.ndarray:
     return (flip @ h @ flip).conj()
 
 
-def _fock_parity(space: TruncatedSpace) -> np.ndarray:
+def _fock_parity(levels: int) -> np.ndarray:
     import numpy as np
 
-    signs = np.array([(-1.0) ** n for n in range(space.cutoff + 1)])
+    signs = np.array([(-1.0) ** n for n in range(levels)])
     return np.kron(np.diag(signs), np.eye(2)).astype(complex)
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     """Frobenius residuals of the symmetry relations on the truncated matrix.
 
     commutator_residual   -- ||[H, P sigma_z]||
@@ -121,11 +106,11 @@ class SymmetryReport:
 def symmetry_report(params: ModelParams, cutoff: int) -> SymmetryReport:
     import numpy as np
 
-    space = TruncatedSpace(cutoff)
-    h = assemble_full(params, space)
+    h = assemble_full(params, cutoff)
     h_dag = h.conj().T
-    sz = np.kron(np.eye(space.cutoff + 1), np.array(_SIGMA_Z, dtype=complex)).astype(complex)
-    parity = _fock_parity(space)
+    levels = h.shape[0] // 2
+    sz = np.kron(np.eye(levels), np.array(_SIGMA_Z, dtype=complex)).astype(complex)
+    parity = _fock_parity(levels)
     grading = parity @ sz
     return SymmetryReport(
         commutator_residual=float(np.linalg.norm(h @ grading - grading @ h)),
@@ -136,8 +121,7 @@ def symmetry_report(params: ModelParams, cutoff: int) -> SymmetryReport:
     )
 
 
-@dataclass(frozen=True)
-class BlockCheck:
+class BlockCheck(NamedTuple):
     """Multiset comparison of the truncated spectrum against the closed-form blocks."""
 
     max_deviation: float
@@ -153,17 +137,16 @@ def block_decomposition_check(params: ModelParams, cutoff: int) -> BlockCheck:
 
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2 for a block comparison, got {cutoff}")
-    space = TruncatedSpace(cutoff)
-    h = assemble_full(params, space)
+    h = assemble_full(params, cutoff)
 
     # |cutoff,+> lost its raising partner; drop it before the eigensolve.
-    leftover = 2 * space.cutoff
+    leftover = 2 * cutoff
     excluded_value = float(h[leftover, leftover].real)
-    keep = [i for i in range(space.dim) if i != leftover]
+    keep = [i for i in range(h.shape[0]) if i != leftover]
     computed = eigN(h[np.ix_(keep, keep)])
 
     expected = [complex(-0.5 * params.alpha)]
-    for n in range(space.cutoff):
+    for n in range(cutoff):
         spectrum = block_spectrum(params, n)
         expected.extend([spectrum.e_plus, spectrum.e_minus])
 

@@ -22,15 +22,11 @@ reported as a diagnostic, never asserted away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 from .model import ModelParams, adjoint_block, build_block, check_subspace_index
 from .smallmat import DefectiveMatrix, Eigenpair2, eig2
 from .spectral import PhaseRegion, phase
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ExceptionalPoint",
@@ -49,16 +45,14 @@ class ExceptionalPoint(ArithmeticError):
     """Metric is singular at the eigenvalue coalescence point."""
 
 
-@dataclass(frozen=True)
-class BiorthoSystem:
+class BiorthoSystem(NamedTuple):
     """Matched (right, left) eigenvector pairs with their overlap matrix."""
 
     pairs: tuple[Eigenpair2, Eigenpair2]
     overlap_matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class MetricMatrix:
+class MetricMatrix(NamedTuple):
     """Real symmetric 2x2 metric with unit determinant and its region tag."""
 
     matrix: np.ndarray
@@ -66,8 +60,7 @@ class MetricMatrix:
     n: int
 
 
-@dataclass(frozen=True)
-class MetricDiagnostics:
+class MetricDiagnostics(NamedTuple):
     symmetry_residual: float
     det_error: float
     positive_definite: bool

@@ -11,14 +11,10 @@ Basis order inside every block is fixed as [|n,+1/2>, |n+1,-1/2>].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from numbers import Integral
-from typing import TYPE_CHECKING
 
 from .smallmat import _as_block
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ModelParams",
@@ -30,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", "alpha homega mu")):
     """Physical inputs of the model.
 
     alpha   -- level splitting of the two-level system (any real energy).
@@ -43,20 +38,21 @@ class ModelParams:
     Temperatures elsewhere are k_B*T in the same energy units (k_B = 1).
     """
 
-    alpha: float
-    homega: float
-    mu: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("alpha", "homega", "mu"):
-            value = float(getattr(self, name))
+    def __new__(cls, alpha: float, homega: float, mu: float):
+        values = []
+        for name, value in zip(cls._fields, (alpha, homega, mu)):
+            value = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            values.append(value)
+        self = super().__new__(cls, *values)
         if self.homega <= 0.0:
             raise ValueError(f"homega must be positive, got {self.homega}")
         if self.mu < 0.0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
+        return self
 
     @property
     def delta(self) -> float:

@@ -6,11 +6,7 @@ only for oracle-style cross checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import NamedTuple
 
 __all__ = [
     "DefectiveMatrix",
@@ -37,8 +33,7 @@ class ConvergenceFailure(ArithmeticError):
     """Dense eigenvalue iteration failed to converge."""
 
 
-@dataclass(frozen=True)
-class Eigenpair2:
+class Eigenpair2(NamedTuple):
     """One matched eigenvalue with right vector of m and left vector of adjoint(m).
 
     Vectors are unnormalized; gauge and biorthonormal scaling are applied

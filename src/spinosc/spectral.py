@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import ModelParams, check_subspace_index
 from .smallmat import ep_tolerance
@@ -39,8 +39,7 @@ class NoSignChange(ValueError):
     """Bisection bracket does not straddle a discriminant sign change."""
 
 
-@dataclass(frozen=True)
-class Spectrum2:
+class Spectrum2(NamedTuple):
     """Eigenvalue pair of one block with its phase tag.
 
     e_plus has the larger real part in the unbroken region and the

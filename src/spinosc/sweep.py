@@ -22,16 +22,15 @@ import math
 import re
 import sys
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple
 
 from .model import ModelParams, check_subspace_index
 from .spectral import critical_coupling, discriminant
-from .thermo import ClosedForms, closed_forms, row_kind
+from .thermo import ClosedForms, _check_tau, closed_forms, row_kind
 
 __all__ = ["SweepSpec", "SweepBlock", "run_sweep", "emit", "CSV_HEADER", "MAX_ROWS"]
 
@@ -47,44 +46,44 @@ several sweeps.
 """
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(namedtuple("SweepSpec", "alpha homega tau subspaces mu_min mu_max steps ep_window")):
     """Grid description: mu in [mu_min, mu_max] with `steps` uniform points per subspace."""
 
-    alpha: float
-    homega: float
-    tau: float
-    subspaces: tuple[int, ...]
-    mu_min: float
-    mu_max: float
-    steps: int
-    ep_window: float = 1e-6
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("tau", "mu_min", "mu_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if not self.subspaces:
+    def __new__(
+        cls,
+        alpha: float,
+        homega: float,
+        tau: float,
+        subspaces: tuple[int, ...],
+        mu_min: float,
+        mu_max: float,
+        steps: int,
+        ep_window: float = 1e-6,
+    ):
+        _check_tau(tau)
+        for name, value in (("mu_min", mu_min), ("mu_max", mu_max)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not subspaces:
             raise ValueError("at least one subspace index is required")
-        for n in self.subspaces:
+        for n in subspaces:
             check_subspace_index(n)
-        if self.mu_min < 0.0:
-            raise ValueError(f"mu_min must be nonnegative, got {self.mu_min}")
-        if not self.mu_min < self.mu_max:
-            raise ValueError(f"mu_min must be below mu_max, got [{self.mu_min}, {self.mu_max}]")
+        if mu_min < 0.0:
+            raise ValueError(f"mu_min must be nonnegative, got {mu_min}")
+        if not mu_min < mu_max:
+            raise ValueError(f"mu_min must be below mu_max, got [{mu_min}, {mu_max}]")
         # ModelParams checks alpha and homega; |disc| peaks at mu_max in the top subspace.
-        discriminant(ModelParams(self.alpha, self.homega, self.mu_max), max(self.subspaces))
-        if isinstance(self.steps, bool) or not isinstance(self.steps, Integral) or self.steps < 2:
-            raise ValueError(f"steps must be an integer >= 2, got {self.steps!r}")
-        if len(set(self.subspaces)) * self.steps > MAX_ROWS:
-            raise ValueError(
-                f"{len(set(self.subspaces))} subspaces x {self.steps} steps exceeds the {MAX_ROWS} row cap"
-            )
-        if self.ep_window < 0.0 or not math.isfinite(self.ep_window):
-            raise ValueError(f"ep_window must be a finite nonnegative value, got {self.ep_window}")
-        object.__setattr__(self, "subspaces", tuple(int(n) for n in self.subspaces))
+        discriminant(ModelParams(alpha, homega, mu_max), max(subspaces))
+        if isinstance(steps, bool) or not isinstance(steps, Integral) or steps < 2:
+            raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+        if len(set(subspaces)) * steps > MAX_ROWS:
+            raise ValueError(f"{len(set(subspaces))} subspaces x {steps} steps exceeds the {MAX_ROWS} row cap")
+        if ep_window < 0.0 or not math.isfinite(ep_window):
+            raise ValueError(f"ep_window must be a finite nonnegative value, got {ep_window}")
+        subspaces = tuple(int(n) for n in subspaces)
+        return super().__new__(cls, alpha, homega, tau, subspaces, mu_min, mu_max, steps, ep_window)
 
 
 class SweepBlock(NamedTuple):

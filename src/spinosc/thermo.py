@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .metric import ExceptionalPoint, eta
@@ -71,8 +70,7 @@ class StencilCrossesSingularity(ArithmeticError):
     """Finite-difference stencil straddles a zero of the partition function."""
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
+class ThermoPoint(NamedTuple):
     """One (n, mu, tau) evaluation; observables are None where undefined."""
 
     n: int
@@ -86,8 +84,7 @@ class ThermoPoint:
     z_positive: bool
 
 
-@dataclass(frozen=True)
-class DerivativeCheck:
+class DerivativeCheck(NamedTuple):
     d1_analytic: float
     d1_numeric: float
     d2_analytic: float

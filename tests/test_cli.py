@@ -153,6 +153,27 @@ def test_verify_skips_closed_z_outside_double_range():
     assert "partition function dual route" in result.stdout
 
 
+def test_verify_fails_a_stencil_it_cannot_evaluate():
+    # At alpha = 12 the broken-region Z changes sign on one finite-difference
+    # stencil: the check fails there instead of raising.
+    result = run_cli("--alpha", "12", "verify", "--cutoff", "8")
+    assert result.returncode == 4
+    assert result.stderr == ""
+    failed = [line for line in result.stdout.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL log-derivative finite differences: cannot evaluate the stencil at n = 0, ")
+
+
+def test_verify_never_passes_a_check_whose_stencils_were_all_skipped(monkeypatch):
+    def unevaluable(params, n, tau, step):
+        raise OverflowError("out of range")
+
+    monkeypatch.setattr(verify, "finite_diff_check", unevaluable)
+    check = {result.name: result for result in verify.run_checks(cutoff=2)}["log-derivative finite differences"]
+    assert not check.passed
+    assert check.detail == "cannot evaluate the stencil at n = 0, mu = 1, tau = 1: out of range"
+
+
 def test_verify_checks_the_cutoff_before_any_check_runs(monkeypatch):
     def first_check(*args):
         raise AssertionError("a check ran before the cutoff was checked")

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from spinosc.fullspace import (
-    TruncatedSpace,
-    assemble_full,
-    block_decomposition_check,
-    symmetry_report,
-)
+from spinosc.fullspace import assemble_full, block_decomposition_check, symmetry_report
 from spinosc.model import ModelParams
 
 FIG = dict(alpha=5.0, homega=1.0)
@@ -19,21 +14,22 @@ def _grading(index: int) -> float:
 
 
 def test_space_validation_and_dim():
-    assert TruncatedSpace(4).dim == 10
-    with pytest.raises(ValueError):
-        TruncatedSpace(0)
-    with pytest.raises(ValueError):
-        TruncatedSpace(2.5)
+    assert assemble_full(ModelParams(5, 1, 1), 4).shape == (10, 10)
+    with pytest.raises(ValueError, match="cutoff must be >= 1, got 0"):
+        assemble_full(ModelParams(5, 1, 1), 0)
+    for cutoff in (2.5, True):
+        with pytest.raises(ValueError, match="cutoff must be an integer"):
+            assemble_full(ModelParams(5, 1, 1), cutoff)
 
 
 def test_assemble_diagonal_limit():
-    h = assemble_full(ModelParams(5, 1, 0), TruncatedSpace(2))
+    h = assemble_full(ModelParams(5, 1, 0), 2)
     expected = np.diag([2.5, -2.5, 3.5, -1.5, 4.5, -0.5])
     assert np.allclose(h, expected, rtol=0, atol=1e-15)
 
 
 def test_assemble_embeds_first_block():
-    h = assemble_full(ModelParams(5, 1, 1), TruncatedSpace(3))
+    h = assemble_full(ModelParams(5, 1, 1), 3)
     # (|0,+>, |1,->) live at indices (0, 3).
     sub = h[np.ix_([0, 3], [0, 3])]
     assert np.allclose(sub, [[2.5, 1.0], [-1.0, -1.5]], rtol=0, atol=1e-15)
@@ -41,7 +37,7 @@ def test_assemble_embeds_first_block():
 
 @pytest.mark.parametrize("mu", [0.0, 1.0, 3.0])
 def test_ground_state_row_is_decoupled(mu):
-    h = assemble_full(ModelParams(**FIG, mu=mu), TruncatedSpace(4))
+    h = assemble_full(ModelParams(**FIG, mu=mu), 4)
     row = h[1, :].copy()  # |0,->
     col = h[:, 1].copy()
     row[1] = col[1] = 0.0
@@ -53,10 +49,9 @@ def test_ground_state_row_is_decoupled(mu):
 @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
 def test_grading_structure(mu):
     # No matrix element connects states with different parity-times-spin grading.
-    space = TruncatedSpace(5)
-    h = assemble_full(ModelParams(**FIG, mu=mu), space)
-    for i in range(space.dim):
-        for j in range(space.dim):
+    h = assemble_full(ModelParams(**FIG, mu=mu), 5)
+    for i in range(h.shape[0]):
+        for j in range(h.shape[0]):
             if _grading(i) != _grading(j):
                 assert h[i, j] == 0.0
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinosc.fullspace import TruncatedSpace, assemble_full
+from spinosc.fullspace import assemble_full
 from spinosc.model import ModelParams, adjoint_block, build_block, sigma_z_residual
 
 FIG = dict(alpha=5.0, homega=1.0)
@@ -21,7 +21,7 @@ def test_build_block_higher_subspace_matches_fullspace_rows():
     # n = 3 block lives on basis indices (2*3, 2*4 + 1) of the assembled matrix.
     block = build_block(ModelParams(5, 1, 1), 3)
     assert np.allclose(block, [[5.5, 2.0], [-2.0, 1.5]], rtol=0, atol=1e-15)
-    h = assemble_full(ModelParams(5, 1, 1), TruncatedSpace(5))
+    h = assemble_full(ModelParams(5, 1, 1), 5)
     embedded = h[np.ix_([6, 9], [6, 9])]
     assert np.allclose(block, embedded, rtol=0, atol=1e-15)
 
@@ -54,6 +54,14 @@ def test_params_rejects_non_finite():
         ModelParams(float("nan"), 1.0, 0.0)
     with pytest.raises(ValueError):
         ModelParams(5.0, float("inf"), 0.0)
+
+
+def test_params_are_a_named_tuple_of_floats():
+    params = ModelParams(5, 1, mu=1)
+    assert params == (5.0, 1.0, 1.0)
+    alpha, homega, mu = params
+    assert (type(alpha), type(homega), type(mu)) == (float, float, float)
+    assert repr(params) == "ModelParams(alpha=5.0, homega=1.0, mu=1.0)"
 
 
 def test_delta_is_exact_difference():

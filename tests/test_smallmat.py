@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from spinosc.fullspace import TruncatedSpace, assemble_full
+from spinosc.fullspace import assemble_full
 from spinosc.model import ModelParams, build_block
 from spinosc.smallmat import ConvergenceFailure, DefectiveMatrix, eig2, eigN, expm2
 from spinosc.spectral import critical_coupling
@@ -183,7 +183,7 @@ def test_eigN_diagonal_pair_multiset():
 
 
 def test_eigN_truncated_hamiltonian_contains_known_values():
-    h = assemble_full(ModelParams(5, 1, 1), TruncatedSpace(6))
+    h = assemble_full(ModelParams(5, 1, 1), 6)
     values = eigN(h)
     for target in (-2.5, 0.5 + np.sqrt(3), 0.5 - np.sqrt(3)):
         assert min(abs(values - target)) < 1e-8

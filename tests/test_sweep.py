@@ -99,6 +99,20 @@ def test_spec_validation(bad):
         _spec(**bad)
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+def test_spec_checks_tau_by_the_thermo_rule(tau):
+    with pytest.raises(ValueError, match=f"^tau must be a positive energy, got {tau}$"):
+        _spec(tau=tau)
+
+
+def test_spec_is_a_named_tuple_of_its_fields():
+    spec = _spec(subspaces=[3, 0])
+    assert spec == (5.0, 1.0, 5.0, (3, 0), 0.0, 4.0, 9, 1e-6)
+    assert repr(spec) == (
+        "SweepSpec(alpha=5.0, homega=1.0, tau=5.0, subspaces=(3, 0), mu_min=0.0, mu_max=4.0, steps=9, ep_window=1e-06)"
+    )
+
+
 def test_region_matches_classify_outside_window():
     spec = _spec(steps=41)
     for row in sweep_rows(spec):
