@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 usage/validation error, 3 requested point sits on a
+Exit codes: 0 success, 2 usage/validation error (an output that cannot be
+written or a sweep worker that stops early too), 3 requested point sits on a
 coalescence (all observables undefined), 4 verification failure.  Data output
 is a pure rendering of library results and is byte-identical across identical
 runs.
@@ -16,7 +17,7 @@ import sys
 from .metric import ExceptionalPoint
 from .model import ModelParams
 from .spectral import PhaseRegion, block_spectrum, critical_coupling
-from .sweep import SweepSpec, emit, run_sweep
+from .sweep import SweepSpec, emit
 from .thermo import thermo_point
 from .verify import run_checks
 
@@ -140,8 +141,8 @@ def _cmd_sweep(args) -> int:
         steps=args.steps,
         ep_window=args.ep_window,
     )
-    # run_sweep finishes before emit opens the destination: a rejected sweep writes nothing.
-    emit(run_sweep(spec), format=args.format, destination=args.output)
+    # SweepSpec validates the whole grid before emit opens the destination: a rejected sweep writes nothing.
+    emit(spec, format=args.format, destination=args.output)
     return EXIT_OK
 
 

@@ -54,6 +54,11 @@ class ModelParams(namedtuple("ModelParams", "alpha homega mu")):
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        """Build from an iterable through __new__'s checks; _replace builds through this too."""
+        return cls(*iterable)
+
     @property
     def delta(self) -> float:
         """Detuning homega - alpha; its sign and size control every branch downstream."""

@@ -127,6 +127,7 @@ def expm2(m, scale: float) -> np.ndarray:
     cosh/sinh into cos/sin, which is exactly the oscillatory branch.  Both
     terms are even in q, and sinh(s q)/q -> s is the removable singularity
     at q = 0 (coalescing eigenvalues), so one formula covers every block.
+    Raises OverflowError where a term of the result leaves double range.
     """
     import numpy as np
 
@@ -140,9 +141,13 @@ def expm2(m, scale: float) -> np.ndarray:
     q_sq = traceless[0, 0] ** 2 + traceless[0, 1] * traceless[1, 0]
     q = np.sqrt(complex(q_sq))
     sq = scale * q
-    return np.exp(scale * center) * (
-        np.cosh(sq) * np.eye(2, dtype=complex) + (np.sinh(sq) / q if q != 0.0 else scale) * traceless
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = np.exp(scale * center) * (
+            np.cosh(sq) * np.eye(2, dtype=complex) + (np.sinh(sq) / q if q != 0.0 else scale) * traceless
+        )
+    if not np.all(np.isfinite(result.view(float))):
+        raise OverflowError(f"exp({scale!r} * m) leaves double range")
+    return result
 
 
 def eigN(m) -> np.ndarray:

@@ -1,32 +1,45 @@
 """Coupling sweeps over subspaces and deterministic CSV/JSON emission.
 
-run_sweep evaluates the grid in parts of at most _PART_ROWS steps, one call
-of the kernel thermo.closed_forms per subspace and part, and returns the
-kernel's row codes and values as SweepBlocks, the form in which emit and the
-renderers take a sweep.  Rows near a coalescence point (within ep_window of
-the critical coupling) are tagged Exceptional and carry no observables;
-undefined values serialize as empty CSV fields / JSON nulls, never as
-sentinel numbers.  emit writes one block at a time, and formats the mu texts
-of each grid part once per sweep.  A renderer builds a block's text with one
-`%` over its defined observables: each row is a head (n), its mu text and
-the template of its kernel code, with tau, mu_c, the region and the valid
-flag baked in.  A JSON observable whose .12g text is not json's number for it
-is rewritten afterwards, found by cheap tests on the whole block first.
-Output is byte-identical for identical inputs.
+A sweep's units are its distinct subspaces, in ascending n, times the parts
+of its mu grid of at most _PART_ROWS steps each.  The kernel
+thermo.closed_forms evaluates one unit per call; run_sweep returns every
+unit's block, and emit takes either those blocks or the SweepSpec itself.
+Rows near a coalescence point (within ep_window of the critical coupling)
+are tagged Exceptional and carry no observables; undefined values serialize
+as empty CSV fields / JSON nulls, never as sentinel numbers.
+
+emit writes one unit at a time and formats the mu texts of each grid part
+once per process.  Given a SweepSpec whose grid has more rows than one part,
+it evaluates and renders the units in one process per CPU this process may
+run on (os.sched_getaffinity), up to one per unit: unit i goes to process
+i mod k, where this process is process 0 and the others are forked workers
+that send their texts back through pipes.  This process writes every text in
+unit order, so the bytes are those of one process.  Smaller grids, and
+processes without os.fork or with other threads running (a BLAS pool
+among them), use this process alone.  SweepSpec validates the whole grid
+when it is built, so a sweep is refused before emit opens its destination.
+
+A renderer builds a block's text with one `%` over its defined observables:
+each row is a head (n), its mu text and the template of its kernel code,
+with tau, mu_c, the region and the valid flag baked in.  A JSON observable
+whose .12g text is not json's number for it is rewritten afterwards, found
+by cheap tests on the whole block first.  Output is byte-identical for
+identical inputs.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
 import re
 import sys
 from array import array
 from collections import Counter, namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from numbers import Integral
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .model import ModelParams, check_subspace_index
 from .spectral import critical_coupling, discriminant
@@ -39,10 +52,9 @@ CSV_HEADER = "n,mu,tau,region,mu_c,Z,F,S,Cv,valid"
 MAX_ROWS = 1_000_000
 """Largest grid a sweep evaluates: distinct subspaces times steps.
 
-The kernel evaluates, and emit writes, at most _PART_ROWS steps at a time,
-and the codes and values wait for emit; README gives the peak resident
-memory this costs (under ~75 MB at the cap).  Split a larger grid into
-several sweeps.
+The kernel evaluates, and emit writes, at most _PART_ROWS steps at a time;
+README gives the peak resident memory this costs per process.  Split a
+larger grid into several sweeps.
 """
 
 
@@ -85,6 +97,11 @@ class SweepSpec(namedtuple("SweepSpec", "alpha homega tau subspaces mu_min mu_ma
         subspaces = tuple(int(n) for n in subspaces)
         return super().__new__(cls, alpha, homega, tau, subspaces, mu_min, mu_max, steps, ep_window)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Build from an iterable through __new__'s checks; _replace builds through this too."""
+        return cls(*iterable)
+
 
 class SweepBlock(NamedTuple):
     """One subspace's sweep over one part of the mu grid: the kernel's output for it."""
@@ -100,24 +117,31 @@ _PART_ROWS = 1 << 14
 """Most steps the kernel evaluates, and a renderer formats, at a time."""
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepBlock]:
-    """Evaluate the grid: per distinct subspace in ascending n, one block per part of the mu grid.
+def _units(spec: SweepSpec) -> list[tuple[int, float, array]]:
+    """The sweep's units, n-major: (n, mu_c, part) per distinct subspace in ascending n and part of the mu grid.
 
-    A part is at most _PART_ROWS steps; the blocks of a part share its mu array.
+    A part is at most _PART_ROWS steps; the units of a part share its mu array.
     """
     width = (spec.mu_max - spec.mu_min) / (spec.steps - 1)
     parts = [
         array("d", [spec.mu_min + i * width for i in range(start, min(start + _PART_ROWS, spec.steps))])
         for start in range(0, spec.steps, _PART_ROWS)
     ]
+    subspaces = sorted(set(spec.subspaces))
+    mu_cs = [critical_coupling(ModelParams(spec.alpha, spec.homega, 0.0), n) for n in subspaces]
+    return [(n, mu_c, part) for n, mu_c in zip(subspaces, mu_cs) for part in parts]
+
+
+def _evaluate(spec: SweepSpec, unit: tuple[int, float, array]) -> SweepBlock:
+    """One unit's block: the kernel over its part of the mu grid."""
+    n, mu_c, part = unit
     tau = float(spec.tau)
-    blocks = []
-    for n in sorted(set(spec.subspaces)):
-        mu_c = critical_coupling(ModelParams(spec.alpha, spec.homega, 0.0), n)
-        for part in parts:
-            columns = closed_forms(spec.alpha, spec.homega, n, part, tau, (mu_c, spec.ep_window))
-            blocks.append(SweepBlock(n, mu_c, part, tau, columns))
-    return blocks
+    return SweepBlock(n, mu_c, part, tau, closed_forms(spec.alpha, spec.homega, n, part, tau, (mu_c, spec.ep_window)))
+
+
+def run_sweep(spec: SweepSpec) -> list[SweepBlock]:
+    """Evaluate the grid: per distinct subspace in ascending n, one block per part of the mu grid."""
+    return [_evaluate(spec, unit) for unit in _units(spec)]
 
 
 def _csv_numbers(values: list[float]) -> list[str]:
@@ -218,17 +242,15 @@ def render_json(block: SweepBlock | list[SweepBlock], mu_texts: list[str] | None
     return text
 
 
-def _write(blocks: Iterable[SweepBlock], format: str, handle) -> None:
-    csv = format == "csv"
-    render, numbers, between = (render_csv, _csv_numbers, "") if csv else (render_json, _json_numbers, ",\n")
-    if csv:
-        handle.write(CSV_HEADER + "\n")
-    separator = between if csv else "[\n"
-    # Blocks come n-major, so each grid part recurs once per subspace.  A
-    # part's mu texts are formatted at its first block and kept, joined,
-    # until its last.  The blocks list holds every part, so ids stay unique.
-    blocks = list(blocks)
-    uses = Counter(id(block.mu) for block in blocks)
+def _texts(blocks: Iterable[SweepBlock], format: str, uses: Counter) -> Iterator[str]:
+    """The rendered text of each non-empty block, in order.
+
+    Blocks come n-major, so each grid part recurs once per subspace.  A
+    part's mu texts are formatted at its first block and kept, joined, until
+    its last: uses counts each part's blocks by the id of its mu array, so
+    those arrays must stay alive until the last block is rendered.
+    """
+    render, numbers = (render_csv, _csv_numbers) if format == "csv" else (render_json, _json_numbers)
     kept = {}
     for block in blocks:
         key = id(block.mu)
@@ -241,37 +263,172 @@ def _write(blocks: Iterable[SweepBlock], format: str, handle) -> None:
             texts = numbers(block.mu.tolist())
             if uses[key]:
                 kept[key] = "\n".join(texts)
+        yield render(block, texts)
+
+
+def _block_texts(blocks: Iterable[SweepBlock], format: str) -> Iterator[str]:
+    blocks = list(blocks)
+    return _texts(blocks, format, Counter(id(block.mu) for block in blocks))
+
+
+def _unit_texts(spec: SweepSpec, units: list, format: str) -> Iterator[str]:
+    """Each unit's text, evaluated and rendered in this process one unit at a time."""
+    blocks = (_evaluate(spec, unit) for unit in units)
+    return _texts(blocks, format, Counter(id(part) for _, _, part in units))
+
+
+def _other_threads() -> bool:
+    """Whether a thread besides this one runs in this process, counted as CPython counts them before a fork.
+
+    /proc/self/task lists the OS threads, a BLAS pool started by importing
+    numpy among them; where there is no /proc, Python's own threads count.
+    """
+    try:
+        return len(os.listdir("/proc/self/task")) > 1
+    except OSError:
+        threading = sys.modules.get("threading")
+        return threading is not None and threading.active_count() > 1
+
+
+def _processes(spec: SweepSpec, units: list) -> int:
+    """How many processes evaluate and render a sweep: one per CPU this process may run on, at most one per unit.
+
+    One where the grid fits in one part, where there is no os.fork, or
+    where other threads run: a forked child gets none of them, but may get
+    a lock one of them holds, and from Python 3.12 os.fork warns of them.
+    """
+    if len(set(spec.subspaces)) * spec.steps <= _PART_ROWS or not hasattr(os, "fork") or _other_threads():
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, len(units))
+
+
+def _spec_texts(spec: SweepSpec, format: str) -> Iterator[str]:
+    """The text of each unit of the sweep, in order: unit i from process i mod k of _processes' k.
+
+    Process 0 is this one; each other is a forked worker that sends its
+    texts in order through a pipe, read here as their turn comes.  Whatever
+    ends the iteration, the read ends are closed, workers still running are
+    killed, and every worker is reaped before it returns.  A worker that
+    stops early raises ChildProcessError naming its exit status.
+    """
+    units = _units(spec)
+    processes = _processes(spec, units)
+    readers = []
+    running = {}  # worker index -> pid, until reaped
+    finished = False
+    try:
+        for index in range(1, processes):
+            read_end, write_end = os.pipe()
+            readers.append(open(read_end, "rb"))
+            with open(write_end, "wb") as writer:
+                try:
+                    pid = os.fork()
+                except OSError as exc:
+                    raise ChildProcessError(f"could not start a sweep worker: {exc}") from exc
+                if pid == 0:
+                    _work(spec, units[index::processes], format, writer, readers)
+                running[index] = pid
+        own = _unit_texts(spec, units[::processes], format)
+        for i in range(len(units)):
+            index = i % processes
+            text = next(own) if index == 0 else _receive(readers[index - 1])
+            if text is None:
+                _, status = os.waitpid(running.pop(index), 0)
+                code = os.waitstatus_to_exitcode(status)
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise ChildProcessError(f"sweep worker {index} of {processes - 1} {how} before sending all its rows")
+            yield text
+        finished = True
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in running.values():
+            if not finished:
+                from signal import SIGKILL
+
+                os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _work(spec: SweepSpec, units: list, format: str, writer, readers) -> NoReturn:
+    """A forked worker's whole life: send each unit's text, framed by its length, then exit.
+
+    It ends in os._exit, so it never returns into its caller's frames, flushes
+    none of the stdio buffers it was forked with, and prints nothing.
+    """
+    status = 1
+    try:
+        for reader in readers:
+            reader.close()
+        for text in _unit_texts(spec, units, format):
+            data = text.encode("ascii")
+            writer.write(b"%d\n" % len(data))
+            writer.write(data)
+        writer.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(reader) -> str | None:
+    """The next text a worker sent; None where it stopped before sending all of it."""
+    size = reader.readline()
+    if size.endswith(b"\n"):
+        data = reader.read(int(size))
+        if len(data) == int(size):
+            return data.decode("ascii")
+    return None
+
+
+def _write(texts: Iterable[str], format: str, handle) -> None:
+    """The document around a sweep's texts: the CSV header, or the JSON brackets and separators."""
+    if format == "csv":
+        handle.write(CSV_HEADER + "\n")
+        for text in texts:
+            handle.write(text)
+        return
+    separator = "[\n"
+    for text in texts:
         handle.write(separator)
-        handle.write(render(block, texts))
-        separator = between
-    if not csv:
-        handle.write("[]\n" if separator == "[\n" else "\n]\n")
+        handle.write(text)
+        separator = ",\n"
+    handle.write("[]\n" if separator == "[\n" else "\n]\n")
 
 
 def _document(blocks: list[SweepBlock], format: str) -> str:
     buffer = io.StringIO()
-    _write(blocks, format, buffer)
+    _write(_block_texts(blocks, format), format, buffer)
     return buffer.getvalue()
 
 
-def emit(blocks: Iterable[SweepBlock], format: str = "csv", destination=None) -> None:
-    """Write a sweep's blocks as CSV or JSON to a path, a writable object, or stdout.
+def emit(sweep: SweepSpec | Iterable[SweepBlock], format: str = "csv", destination=None) -> None:
+    """Write a sweep as CSV or JSON to a path, a writable object, or stdout.
 
-    Each block is written as soon as it is rendered, so neither the rows nor
-    the whole text are ever held.  destination None or "-" means stdout; IO
-    failures on a path are re-raised with the destination named, and a write
-    that fails part-way leaves the part already written.
+    sweep is a SweepSpec, evaluated here, or the blocks run_sweep returns.
+    Each unit or block is written as soon as it is rendered, so neither the
+    rows nor the whole text are ever held.  A SweepSpec whose grid is larger
+    than one part is evaluated and rendered by one process per CPU, with the
+    same bytes.  destination None or "-" means stdout; IO failures on a path
+    are re-raised with the destination named, and a write that fails
+    part-way leaves the part already written.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    if destination is None or destination == "-":
-        destination = sys.stdout
-    if hasattr(destination, "write"):
-        _write(blocks, format, destination)
-        return
-    path = Path(destination)
+    texts = _spec_texts(sweep, format) if isinstance(sweep, SweepSpec) else _block_texts(sweep, format)
     try:
-        with open(path, "w", newline="") as handle:
-            _write(blocks, format, handle)
-    except OSError as exc:
-        raise OSError(f"could not write sweep output to {path}: {exc}") from exc
+        if destination is None or destination == "-":
+            destination = sys.stdout
+        if hasattr(destination, "write"):
+            _write(texts, format, destination)
+            return
+        path = Path(destination)
+        try:
+            with open(path, "w", newline="") as handle:
+                _write(texts, format, handle)
+        except ChildProcessError:
+            raise  # a worker stopped; the destination is not at fault
+        except OSError as exc:
+            raise OSError(f"could not write sweep output to {path}: {exc}") from exc
+    finally:
+        texts.close()

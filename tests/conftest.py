@@ -1,4 +1,12 @@
+import os
+
 import pytest
+
+# One BLAS thread, set before any test module imports numpy: a BLAS thread
+# pool is a thread besides this one, and a process running one never forks
+# sweep workers, so the multi-process sweep tests could not run in process.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 
 @pytest.fixture(autouse=True)

@@ -164,6 +164,35 @@ def test_verify_fails_a_stencil_it_cannot_evaluate():
     assert failed[0].startswith("FAIL log-derivative finite differences: cannot evaluate the stencil at n = 0, ")
 
 
+@pytest.mark.parametrize(
+    "alpha,failed",
+    [
+        ("5000", {"log-derivative finite differences": "cannot evaluate the stencil at n = 0, mu = 1249.75, tau = 1: "
+                  "exp(-1.000100010001 * m) leaves double range"}),
+        ("1e10", {"coalescence location (bisection vs closed)": None, "partition function dual route": None,
+                  "log-derivative finite differences": "cannot evaluate the stencil at n = 0, mu = 2499999999.75, "
+                  "tau = 1: exp(-1.000100010001 * m) leaves double range",
+                  "truncated spectrum matches block union": None}),
+        ("-1e3", {"log-derivative finite differences": None}),
+        # Z is in range at n = 2, mu = mu_c/5, tau = 20, but a term of its
+        # matrix exponential is not.
+        ("28981.14427316356", {"partition function dual route": "cannot evaluate the matrix route at n = 2, "
+                               "mu = 1673.16940973, tau = 20: exp(-0.05 * m) leaves double range",
+                               "log-derivative finite differences": None}),
+    ],
+)
+def test_verify_fails_where_the_matrix_exponential_leaves_double_range(alpha, failed):
+    # expm2 raises OverflowError instead of printing numpy's warnings; every
+    # check that reaches it fails with one line.  stderr stays empty with
+    # warnings as errors.
+    result = run_cli(f"--alpha={alpha}", "verify", "--cutoff", "8")
+    assert (result.returncode, result.stderr) == (4, "")
+    lines = [line[5:].split(": ", 1) for line in result.stdout.splitlines() if line.startswith("FAIL ")]
+    assert {name for name, _ in lines} == set(failed)
+    for name, detail in lines:
+        assert failed[name] in (None, detail)
+
+
 def test_verify_never_passes_a_check_whose_stencils_were_all_skipped(monkeypatch):
     def unevaluable(params, n, tau, step):
         raise OverflowError("out of range")

@@ -1,9 +1,11 @@
 """numpy belongs to the matrix oracles: the production commands run, in a fresh interpreter, without it.
 
 Nor do they load dataclasses or inspect, which cost every CLI child ~9 ms to import: records are NamedTuples.
+Nor multiprocessing, concurrent or threading: a large sweep forks its workers with os.fork alone.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # The modules a production command must not load.
-HEAVY = ("numpy", "dataclasses", "inspect")
+HEAVY = ("numpy", "dataclasses", "inspect", "multiprocessing", "concurrent", "threading")
 
 # Runs `python -m spinosc *argv` in this interpreter, output discarded, then
 # prints its exit code and which of HEAVY were imported.
@@ -38,7 +40,12 @@ print(json.dumps([spinosc_modules, [name for name in {HEAVY!r} if name in sys.mo
 
 
 def _fresh(source, *argv):
-    child = subprocess.run([sys.executable, "-c", source, *argv], capture_output=True, text=True, timeout=120)
+    # -S: no site module, so no .pth file in site-packages loads a module
+    # before the source runs; this interpreter's sys.path finds the packages.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", source, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
     assert child.returncode == 0 and child.stderr == "", child.stderr
     return json.loads(child.stdout)
 
@@ -56,6 +63,8 @@ def _fresh(source, *argv):
         (("--help",), 0),
         (("sweep", "--bogus"), 2),
         (("sweep", "--tau", "-1"), 2),
+        # More than one part of rows: forked workers, on a machine with more than one CPU.
+        (("sweep", "--subspaces", "0", "1", "--steps", "8193"), 0),
     ],
 )
 def test_production_commands_never_import_numpy(argv, code):

@@ -64,6 +64,17 @@ def test_params_are_a_named_tuple_of_floats():
     assert repr(params) == "ModelParams(alpha=5.0, homega=1.0, mu=1.0)"
 
 
+def test_replace_and_make_check_like_the_constructor():
+    params = ModelParams(5, 1, 1)
+    with pytest.raises(ValueError, match=r"^mu must be nonnegative, got -1.0$"):
+        params._replace(mu=-1.0)
+    with pytest.raises(ValueError, match=r"^homega must be finite, got nan$"):
+        ModelParams._make([5.0, float("nan"), 1.0])
+    replaced = params._replace(mu=2)
+    assert type(replaced) is ModelParams and replaced == (5.0, 1.0, 2.0) and type(replaced.mu) is float
+    assert ModelParams._make(iter([5, 1, 1])) == params
+
+
 def test_delta_is_exact_difference():
     params = ModelParams(5.0, 1.0, 0.3)
     assert params.delta == 1.0 - 5.0

@@ -113,6 +113,22 @@ def test_expm2_matches_series(m, scale):
     assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize(
+    "m,scale",
+    [
+        # exp(s c) overflows.
+        (np.diag([800.0, 0.0]), 1.0),
+        (np.array([[800.0, 1.0], [-1.0, 800.0]]), 1.0),
+        # exp(s c) = 1; cosh(s q) and sinh(s q) overflow.
+        (np.array([[0.0, 720.0], [720.0, 0.0]]), -1.0),
+    ],
+)
+def test_expm2_raises_where_its_result_leaves_double_range(m, scale):
+    # pytest turns warnings into errors, so this also checks numpy prints none.
+    with pytest.raises(OverflowError, match=r"^exp\(.* \* m\) leaves double range$"):
+        expm2(m, scale)
+
+
 def test_expm2_defective_input_uses_series_branch():
     m = np.array([[2.5, 2.0], [-2.0, -1.5]])  # coalesced eigenvalues, q^2 = 0
     ref = _series_expm(m, -1.0)

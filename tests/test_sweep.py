@@ -113,6 +113,18 @@ def test_spec_is_a_named_tuple_of_its_fields():
     )
 
 
+def test_replace_and_make_check_like_the_constructor():
+    spec = _spec()
+    with pytest.raises(ValueError, match=r"^tau must be a positive energy, got -1.0$"):
+        spec._replace(tau=-1.0, steps=1)
+    with pytest.raises(ValueError, match=r"^steps must be an integer >= 2, got 1$"):
+        spec._replace(steps=1)
+    with pytest.raises(ValueError, match="row cap"):
+        SweepSpec._make([*spec[:6], MAX_ROWS + 1, spec.ep_window])
+    replaced = spec._replace(subspaces=[3, 0])
+    assert type(replaced) is SweepSpec and replaced.subspaces == (3, 0)
+
+
 def test_region_matches_classify_outside_window():
     spec = _spec(steps=41)
     for row in sweep_rows(spec):
@@ -431,6 +443,9 @@ def test_json_observables_bypass_the_number_rule_on_the_unbroken_grid(tmp_path, 
     # 50,025 Unbroken rows: no observable is near an integer or subnormal,
     # so _json_numbers sees only the mu grid once and each block's tau and
     # mu_c.  Routing every value through it would keep the bytes but fail here.
+    # One CPU keeps every call in this process, where they are counted;
+    # test_sweep_workers.py counts them across two processes.
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
     calls = []
 
     def counted(values):

@@ -244,11 +244,16 @@ def test_finite_difference_checks_the_kernels_s_and_cv(monkeypatch, field):
 def test_finite_difference_where_the_kernel_overflows_is_an_overflow_error():
     # b/tau ~ 2165 at alpha = 5000, n = 0, mu = mu_c/2, tau = 1: Z leaves double
     # range, so the kernel's F and S are undefined.  The matrix route overflows
-    # on the stencil as well; numpy's warnings about that are silenced here.
+    # on the stencil first, and expm2 says so.
     mu_c = critical_coupling(ModelParams(5000.0, 1.0, 0.0), 0)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError) as info:
+    with pytest.raises(OverflowError) as info:
         finite_diff_check(ModelParams(5000.0, 1.0, 0.5 * mu_c), 0, 1.0, 1e-4)
-    assert str(info.value) == "F, S or C_v is undefined at mu = 1249.75, n = 0, tau = 1.0"
+    assert str(info.value) == "exp(-1.000100010001 * m) leaves double range"
+    # At tau = 1e308 the stencil's matrix Z is ~14, but F = -tau ln Z leaves
+    # double range in the kernel.
+    with pytest.raises(OverflowError) as info:
+        finite_diff_check(ModelParams(5.0, 1.0, 1.98), 0, 1e308, 1e150)
+    assert str(info.value) == "F, S or C_v is undefined at mu = 1.98, n = 0, tau = 1e+308"
 
 
 def test_free_energy_tracks_log_z():
