@@ -136,9 +136,11 @@ def _phase_regular(params: ModelParams, n: int) -> tuple[PhaseRegion, float]:
     return region, disc
 
 
-def _eta_closed(params: ModelParams, n: int) -> tuple[np.ndarray, PhaseRegion]:
+def eta(params: ModelParams, n: int) -> MetricMatrix:
+    """Metric of the (n+1)-th subspace from the closed forms (mu = 0 gives identity)."""
     import numpy as np
 
+    n = check_subspace_index(n)
     region, disc = _phase_regular(params, n)
     coupling = params.mu * math.sqrt(n + 1.0)
     sign = 1.0 if params.delta > 0.0 else -1.0
@@ -150,14 +152,7 @@ def _eta_closed(params: ModelParams, n: int) -> tuple[np.ndarray, PhaseRegion]:
         d = math.sqrt(-disc)
         diag = 2.0 * coupling / d
         off = -sign * abs(params.delta) / d
-    return np.array([[diag, off], [off, diag]]), region
-
-
-def eta(params: ModelParams, n: int) -> MetricMatrix:
-    """Metric of the (n+1)-th subspace from the closed forms (mu = 0 gives identity)."""
-    n = check_subspace_index(n)
-    matrix, region = _eta_closed(params, n)
-    return MetricMatrix(matrix, region, n)
+    return MetricMatrix(np.array([[diag, off], [off, diag]]), region, n)
 
 
 def eta_from_vectors(params: ModelParams, n: int) -> np.ndarray:

@@ -2,18 +2,19 @@
 
 A sweep's units are its distinct subspaces, in ascending n, times the parts
 of its mu grid of at most _PART_ROWS steps each.  The kernel
-thermo.closed_forms evaluates one unit per call; run_sweep returns every
-unit's block, and emit takes either those blocks or the SweepSpec itself.
+thermo.closed_forms evaluates one unit per call.  emit, given the sweep's
+SweepSpec, is the one way to write a sweep; run_sweep returns every unit's
+block, and render_csv and render_json render blocks in memory.
 Rows near a coalescence point (within ep_window of the critical coupling)
 are tagged Exceptional and carry no observables; undefined values serialize
 as empty CSV fields / JSON nulls, never as sentinel numbers.
 
 emit writes one unit at a time and formats the mu texts of each grid part
-once per process.  Given a SweepSpec whose grid has more rows than one part,
-it evaluates and renders the units in one process per CPU this process may
-run on (os.sched_getaffinity), up to one per unit: unit i goes to process
-i mod k, where this process is process 0 and the others are forked workers
-that send their texts back through pipes.  This process writes every text in
+once per process.  Where the grid has more rows than one part, it evaluates
+and renders the units in one process per CPU this process may run on
+(os.sched_getaffinity), up to one per unit: unit i goes to process i mod k,
+where this process is process 0 and the others are forked workers that send
+their texts back through pipes.  This process writes every text in
 unit order, so the bytes are those of one process.  Smaller grids, and
 processes without os.fork or with other threads running (a BLAS pool
 among them), use this process alone.  SweepSpec validates the whole grid
@@ -35,10 +36,9 @@ import os
 import re
 import sys
 from array import array
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from numbers import Integral
-from pathlib import Path
 from typing import NamedTuple, NoReturn
 
 from .model import ModelParams, check_subspace_index
@@ -195,7 +195,7 @@ def _render(block: SweepBlock, mu_texts: list[str], args: list, head: str, sep: 
 
 
 def render_csv(block: SweepBlock | list[SweepBlock], mu_texts: list[str] | None = None) -> str:
-    """The CSV lines of one block; of a list of blocks, as run_sweep returns, the whole document.
+    """The CSV lines of one block; of a list of blocks, as run_sweep returns, the whole document in memory.
 
     mu_texts, if given, are the block's mu values as _csv_numbers formats them.
     """
@@ -242,39 +242,25 @@ def render_json(block: SweepBlock | list[SweepBlock], mu_texts: list[str] | None
     return text
 
 
-def _texts(blocks: Iterable[SweepBlock], format: str, uses: Counter) -> Iterator[str]:
-    """The rendered text of each non-empty block, in order.
+def _unit_texts(spec: SweepSpec, units: list, format: str) -> Iterator[str]:
+    """Each unit's text, evaluated and rendered in this process one unit at a time.
 
-    Blocks come n-major, so each grid part recurs once per subspace.  A
-    part's mu texts are formatted at its first block and kept, joined, until
-    its last: uses counts each part's blocks by the id of its mu array, so
-    those arrays must stay alive until the last block is rendered.
+    Units come n-major, so each grid part recurs once per subspace.  A
+    part's mu texts are formatted at its first unit and kept, joined, until
+    its last.
     """
     render, numbers = (render_csv, _csv_numbers) if format == "csv" else (render_json, _json_numbers)
+    last = {id(part): i for i, (_, _, part) in enumerate(units)}
     kept = {}
-    for block in blocks:
-        key = id(block.mu)
-        uses[key] -= 1
-        if not len(block.mu):
-            continue
+    for i, unit in enumerate(units):
+        key = id(unit[2])
         if key in kept:
-            texts = (kept[key] if uses[key] else kept.pop(key)).split("\n")
+            texts = (kept[key] if last[key] > i else kept.pop(key)).split("\n")
         else:
-            texts = numbers(block.mu.tolist())
-            if uses[key]:
+            texts = numbers(unit[2].tolist())
+            if last[key] > i:
                 kept[key] = "\n".join(texts)
-        yield render(block, texts)
-
-
-def _block_texts(blocks: Iterable[SweepBlock], format: str) -> Iterator[str]:
-    blocks = list(blocks)
-    return _texts(blocks, format, Counter(id(block.mu) for block in blocks))
-
-
-def _unit_texts(spec: SweepSpec, units: list, format: str) -> Iterator[str]:
-    """Each unit's text, evaluated and rendered in this process one unit at a time."""
-    blocks = (_evaluate(spec, unit) for unit in units)
-    return _texts(blocks, format, Counter(id(part) for _, _, part in units))
+        yield render(_evaluate(spec, unit), texts)
 
 
 def _other_threads() -> bool:
@@ -397,32 +383,36 @@ def _write(texts: Iterable[str], format: str, handle) -> None:
 
 
 def _document(blocks: list[SweepBlock], format: str) -> str:
+    """The whole document of a list of blocks, each non-empty block rendered on its own."""
+    render = render_csv if format == "csv" else render_json
     buffer = io.StringIO()
-    _write(_block_texts(blocks, format), format, buffer)
+    _write((render(block) for block in blocks if len(block.mu)), format, buffer)
     return buffer.getvalue()
 
 
-def emit(sweep: SweepSpec | Iterable[SweepBlock], format: str = "csv", destination=None) -> None:
-    """Write a sweep as CSV or JSON to a path, a writable object, or stdout.
+def emit(spec: SweepSpec, format: str = "csv", destination=None) -> None:
+    """Write the sweep of a SweepSpec as CSV or JSON to a path, a writable object, or stdout.
 
-    sweep is a SweepSpec, evaluated here, or the blocks run_sweep returns.
-    Each unit or block is written as soon as it is rendered, so neither the
-    rows nor the whole text are ever held.  A SweepSpec whose grid is larger
-    than one part is evaluated and rendered by one process per CPU, with the
-    same bytes.  destination None or "-" means stdout; IO failures on a path
-    are re-raised with the destination named, and a write that fails
-    part-way leaves the part already written.
+    Each unit is written as soon as it is rendered, so neither the rows nor
+    the whole text are ever held.  A grid larger than one part is evaluated
+    and rendered by one process per CPU, with the same bytes.  Anything but
+    a SweepSpec raises TypeError before a worker or the destination is
+    touched.  destination None or "-" means stdout; IO failures on a path
+    are re-raised with the destination named as given, and a write that
+    fails part-way leaves the part already written.
     """
+    if not isinstance(spec, SweepSpec):
+        raise TypeError(f"emit takes a SweepSpec, got {type(spec).__name__}; render_csv and render_json render blocks")
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    texts = _spec_texts(sweep, format) if isinstance(sweep, SweepSpec) else _block_texts(sweep, format)
+    texts = _spec_texts(spec, format)
     try:
         if destination is None or destination == "-":
             destination = sys.stdout
         if hasattr(destination, "write"):
             _write(texts, format, destination)
             return
-        path = Path(destination)
+        path = os.fspath(destination)
         try:
             with open(path, "w", newline="") as handle:
                 _write(texts, format, handle)

@@ -17,12 +17,13 @@ and differentiating ln Z in tau:
 One kernel, closed_forms, evaluates these over a coupling grid of one
 subspace with one math-module loop: each row gets a code (its region and
 which observables are defined) and its defined values, in row order.
-thermo_point and the scalar accessors run it on a one-point grid; run_sweep
-runs it once per subspace and part of the grid.  The row-by-row reference
-version of the same formulas lives in the tests.  The matrix trace itself
-(partition_function, free_energy) is the oracle the closed forms are
-validated against in the verification suite and the tests; it, and only it,
-imports numpy.
+thermo_point runs it on a one-point grid, and the scalar accessors and
+finite_diff_check read their values through thermo_point; emit and
+run_sweep run it once per unit of a sweep (one subspace times one part of
+its grid).  The row-by-row reference version of the same formulas lives in
+the tests.  The matrix trace itself (partition_function, free_energy) is
+the oracle the closed forms are validated against in the verification suite
+and the tests; it, and only it, imports numpy.
 finite_diff_check differentiates the matrix-route ln Z numerically and
 compares it with d lnZ/d tau = U/tau^2 and d2 lnZ/d tau2 derived from the
 kernel's F, S and C_v, so that oracle checks the production S and C_v.
@@ -225,21 +226,12 @@ def closed_forms(
     return ClosedForms(bytes(codes), array("d", values))
 
 
-def _point(params: ModelParams, n: int, tau: float):
-    """(region, Z, F, S, C_v) from the kernel on a one-point grid; None where undefined."""
-    (code,), values = closed_forms(params.alpha, params.homega, n, (params.mu,), tau)
-    region, defined = row_kind(code)
-    values = iter(values)
-    return region, *(next(values) if flag else None for flag in defined)
-
-
 def _defined(params: ModelParams, n: int, tau: float):
     """(Z, F, S, C_v) of one point; raises ExceptionalPoint at the coalescence point."""
-    n = check_subspace_index(n)
-    region, *values = _point(params, n, _check_tau(tau))
-    if region is PhaseRegion.EXCEPTIONAL:
-        raise ExceptionalPoint(f"observables are singular at mu = {params.mu} (coalescence for subspace n = {n})")
-    return values
+    point = thermo_point(params, n, tau)
+    if point.region is PhaseRegion.EXCEPTIONAL:
+        raise ExceptionalPoint(f"observables are singular at mu = {params.mu} (coalescence for subspace n = {point.n})")
+    return point[4:8]
 
 
 def free_energy(params: ModelParams, n: int, tau: float) -> float | None:
@@ -266,10 +258,13 @@ def specific_heat(params: ModelParams, n: int, tau: float) -> float | None:
 
 
 def thermo_point(params: ModelParams, n: int, tau: float) -> ThermoPoint:
-    """Bundle Z, F, S, C_v at one point; coalescence yields an all-undefined record."""
+    """Z, F, S, C_v at one point from the kernel on a one-point grid; coalescence yields an all-undefined record."""
     n = check_subspace_index(n)
     tau = _check_tau(tau)
-    region, z, f, s, cv = _point(params, n, tau)
+    (code,), values = closed_forms(params.alpha, params.homega, n, (params.mu,), tau)
+    region, defined = row_kind(code)
+    values = iter(values)
+    z, f, s, cv = (next(values) if flag else None for flag in defined)
     return ThermoPoint(n, params.mu, tau, region, z, f, s, cv, z is not None and z > 0.0)
 
 
@@ -297,7 +292,7 @@ def finite_diff_check(params: ModelParams, n: int, tau: float, step: float) -> D
         raise OverflowError(f"partition function underflows to 0 on the stencil around tau = {tau}")
     lo, mid, hi = (math.log(z) for z in samples)
     d1_num = (hi - lo) / (2.0 * step)
-    d2_num = (hi - 2.0 * mid + lo) / step**2
+    d2_num = (hi - 2.0 * mid + lo) / step / step
     _, f, s, cv = _defined(params, n, tau)
     if None in (f, s, cv):
         raise OverflowError(f"F, S or C_v is undefined at mu = {params.mu}, n = {n}, tau = {tau}")

@@ -2,6 +2,7 @@
 
 Nor do they load dataclasses or inspect, which cost every CLI child ~9 ms to import: records are NamedTuples.
 Nor multiprocessing, concurrent or threading: a large sweep forks its workers with os.fork alone.
+Nor pathlib, which loads urllib.parse and ipaddress too: emit opens a path with open() and names it with os.fspath.
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # The modules a production command must not load.
-HEAVY = ("numpy", "dataclasses", "inspect", "multiprocessing", "concurrent", "threading")
+HEAVY = ("numpy", "dataclasses", "inspect", "multiprocessing", "concurrent", "threading", "pathlib")
 
 # Runs `python -m spinosc *argv` in this interpreter, output discarded, then
 # prints its exit code and which of HEAVY were imported.

@@ -39,9 +39,13 @@ def _spec(**overrides):
     return SweepSpec(**base)
 
 
-def _document(blocks, format="csv"):
+RENDER = {"csv": render_csv, "json": render_json}
+
+
+def _emitted(spec, format="csv"):
+    """The text emit writes for spec."""
     buffer = io.StringIO()
-    emit(blocks, format, buffer)
+    emit(spec, format, buffer)
     return buffer.getvalue()
 
 
@@ -143,14 +147,14 @@ def test_region_sign_structure_in_rows():
 
 
 def test_csv_header_and_empty_rows():
-    assert _document([]) == render_csv([]) == CSV_HEADER + "\n"
+    assert render_csv([]) == CSV_HEADER + "\n"
 
 
 def test_csv_single_valid_row():
-    blocks = run_sweep(_spec(tau=1.0, mu_min=0.5, mu_max=1.0, steps=2))
-    lines = _document(blocks).strip().split("\n")
+    spec = _spec(tau=1.0, mu_min=0.5, mu_max=1.0, steps=2)
+    lines = _emitted(spec).strip().split("\n")
     assert lines[0] == CSV_HEADER
-    assert lines[1:] == render_csv(blocks[0]).strip().split("\n")
+    assert lines[1:] == render_csv(run_sweep(spec)[0]).strip().split("\n")
     fields = lines[1].split(",")
     assert fields[0] == "0"
     assert fields[3] == "Unbroken"
@@ -175,7 +179,7 @@ def test_csv_values_carry_twelve_significant_digits():
 
 
 def test_json_mirrors_fields_with_nulls():
-    payload = json.loads(_document(run_sweep(_spec(steps=9)), "json"))
+    payload = json.loads(_emitted(_spec(steps=9), "json"))
     assert len(payload) == 9
     exceptional = [entry for entry in payload if entry["region"] == "Exceptional"]
     assert len(exceptional) == 1
@@ -187,29 +191,33 @@ def test_json_mirrors_fields_with_nulls():
 def test_emission_is_deterministic():
     spec = _spec(steps=17, subspaces=(0, 2))
     for format in ("csv", "json"):
-        assert _document(run_sweep(spec), format) == _document(run_sweep(spec), format)
+        assert _emitted(spec, format) == _emitted(spec, format) == RENDER[format](run_sweep(spec))
 
 
 def test_emit_to_file_and_stream(tmp_path):
-    blocks = run_sweep(_spec(steps=5))
+    spec = _spec(steps=5)
     target = tmp_path / "rows.csv"
-    emit(blocks, "csv", target)
-    assert target.read_text() == _document(blocks)
+    emit(spec, "csv", target)
+    assert target.read_text() == _emitted(spec) == render_csv(run_sweep(spec))
 
 
 def test_emit_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
-        emit([], "yaml", io.StringIO())
+        emit(_spec(), "yaml", io.StringIO())
     # Nothing is opened for an unknown format.
     target = tmp_path / "rows.yaml"
     with pytest.raises(ValueError):
-        emit([], "yaml", target)
+        emit(_spec(), "yaml", target)
     assert not target.exists()
 
 
-def test_emit_reports_destination_on_failure(tmp_path):
+def test_emit_reports_destination_on_failure(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="missing"):
-        emit([], "csv", tmp_path / "missing" / "rows.csv")
+        emit(_spec(), "csv", tmp_path / "missing" / "rows.csv")
+    # The destination is named as it was given.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(OSError, match=r"^could not write sweep output to \./missing/rows\.csv: "):
+        emit(_spec(), "csv", "./missing/rows.csv")
 
 
 def test_figure_dataset_defaults():
@@ -296,14 +304,20 @@ def _block(n, mu_c, mu, tau, regions, z, free_energy, entropy, specific_heat):
     return SweepBlock(n, mu_c, array("d", mu), tau, columns_of(regions, z, free_energy, entropy, specific_heat))
 
 
+def _byte_identity_specs():
+    return [
+        # Unbroken, Exceptional and broken rows with a negative Z (F, S None),
+        # from duplicate, out-of-order subspaces.
+        _spec(tau=1.0, subspaces=(3, 0, 3), steps=33),
+        # Huge F and exponent-format values.
+        _spec(tau=1e300, mu_min=0.5, mu_max=3.5, steps=7),
+        # Z beyond double range, tiny Cv, and an underflowed Z.
+        _spec(tau=1e-3, subspaces=(0, 40), steps=9),
+    ]
+
+
 def _byte_identity_blocks():
-    # Unbroken, Exceptional and broken rows with a negative Z (F, S None),
-    # from duplicate, out-of-order subspaces.
-    blocks = run_sweep(_spec(tau=1.0, subspaces=(3, 0, 3), steps=33))
-    # Huge F and exponent-format values.
-    blocks += run_sweep(_spec(tau=1e300, mu_min=0.5, mu_max=3.5, steps=7))
-    # Z beyond double range, tiny Cv, and an underflowed Z.
-    blocks += run_sweep(_spec(tau=1e-3, subspaces=(0, 40), steps=9))
+    blocks = [block for spec in _byte_identity_specs() for block in run_sweep(spec)]
     unbroken, broken, exceptional = REGIONS
     blocks += [
         # Signed zeros (a -0.0 mu too), values .12g prints without ".0", a
@@ -336,31 +350,39 @@ def test_renderers_are_byte_identical_to_the_row_renderers(tmp_path, capsys, mon
     renderers = (("csv", render_csv_reference, render_csv), ("json", render_json_reference, render_json))
     for format, reference, render in renderers:
         expected = reference(rows)
-        target = tmp_path / f"rows.{format}"
-        emit(blocks, format, target)
-        assert target.read_bytes().decode() == expected
-        assert _document(blocks, format) == expected
-        emit(blocks, format)
-        assert capsys.readouterr().out == expected
         assert render(blocks) == expected
-        assert _document(parts, format) == expected
-    csv_text, json_text = _document(blocks), _document(blocks, "json")
+        assert render(parts) == expected
+        # emit writes the document of each sweep, to a file and to stdout, and
+        # in grid parts of 5 steps; one CPU keeps those in this process.
+        for spec in _byte_identity_specs():
+            document = render(run_sweep(spec))
+            assert document == reference(sweep_rows(spec))
+            target = tmp_path / f"rows.{format}"
+            emit(spec, format, target)
+            assert target.read_bytes().decode() == document
+            emit(spec, format)
+            assert capsys.readouterr().out == document
+            with monkeypatch.context() as patch:
+                patch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+                patch.setattr("spinosc.sweep._PART_ROWS", 5)
+                assert _emitted(spec, format) == document
+    csv_text, json_text = render_csv(blocks), render_json(blocks)
     assert ",-0," in csv_text and ",,,,false" in csv_text and "e+300" in csv_text
     assert '"mu": -0.0' in json_text and "123456789012000.0" in json_text and "5e-324" in json_text
 
 
 def test_empty_render_matches_the_row_renderers():
-    assert _document([]) == render_csv_reference([]) == CSV_HEADER + "\n"
-    assert _document([], "json") == render_json_reference([]) == "[]\n"
+    assert render_csv([]) == render_csv_reference([]) == CSV_HEADER + "\n"
+    assert render_json([]) == render_json_reference([]) == "[]\n"
 
 
 def test_empty_block_renders_nothing():
     empty = _block(7, 1.5, [], 2.0, [], [], [], [], [])
     assert render_csv(empty) == render_json(empty) == ""
     blocks = run_sweep(_spec(steps=3))
-    for format in ("csv", "json"):
-        assert _document([empty, *blocks, empty], format) == _document(blocks, format)
-    assert _document([empty], "json") == "[]\n"
+    for render in (render_csv, render_json):
+        assert render([empty, *blocks, empty]) == render(blocks)
+    assert render_json([empty]) == "[]\n"
 
 
 def _json_rule_values():
@@ -435,7 +457,7 @@ def test_fast_renderers_match_the_row_renderers_on_every_kind_of_value():
         ("json", render_json_reference, render_json, lambda texts: "[\n" + ",\n".join(texts) + "\n]\n"),
     ):
         expected = reference(rows)
-        assert _first_difference(_document(blocks, format), expected) is None
+        assert _first_difference(render(blocks), expected) is None
         assert _first_difference(join(map(render, blocks)), expected) is None
 
 
@@ -462,11 +484,14 @@ def test_json_observables_bypass_the_number_rule_on_the_unbroken_grid(tmp_path, 
 
 @pytest.mark.parametrize("format", ["csv", "json"])
 def test_each_grid_part_is_formatted_once_per_sweep(monkeypatch, format):
-    # Blocks come n-major, so with three parts and three subspaces the blocks
+    # Units come n-major, so with three parts and three subspaces the units
     # of one part are never adjacent; each part's mu texts are still
     # formatted once, and the bytes are those of rendering each block alone.
+    # One CPU keeps every call in this process, where they are counted.
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr("spinosc.sweep._PART_ROWS", 5)
-    blocks = run_sweep(_spec(subspaces=(0, 1, 2), steps=12))
+    spec = _spec(subspaces=(0, 1, 2), steps=12)
+    blocks = run_sweep(spec)
     parts = [block.mu.tolist() for block in blocks[:3]]
     assert [len(part) for part in parts] == [5, 5, 2] and len(blocks) == 9
     render, join = {
@@ -482,5 +507,5 @@ def test_each_grid_part_is_formatted_once_per_sweep(monkeypatch, format):
         return numbers(values)
 
     monkeypatch.setattr(name, counted)
-    assert _document(blocks, format) == expected
+    assert _emitted(spec, format) == expected
     assert [values for values in calls if values in parts] == parts

@@ -12,7 +12,7 @@ import pytest
 
 from spinosc import sweep
 from spinosc.cli import main
-from spinosc.sweep import SweepSpec, emit, run_sweep
+from spinosc.sweep import SweepSpec, emit, render_json, run_sweep
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the multi-process path needs os.fork")
 
@@ -85,8 +85,7 @@ def test_one_process_writes_the_bytes_of_the_blocks(tmp_path, monkeypatch, capsy
     argv = ["sweep", "--subspaces", "3", "0", "3", "1", "--steps", "6000", "--tau", "1", "--format", "json"]
     _, written, _ = _run(argv, monkeypatch, capsys, 1, tmp_path / "one.json")
     spec = SweepSpec(5.0, 1.0, 1.0, (3, 0, 3, 1), 0.0, 4.0, 6000)
-    emit(run_sweep(spec), "json", tmp_path / "blocks.json")
-    assert written == (tmp_path / "blocks.json").read_bytes()
+    assert written == render_json(run_sweep(spec)).encode()
 
 
 def _forbid_fork(monkeypatch):
@@ -165,6 +164,20 @@ def test_a_refused_sweep_forks_nothing_and_opens_no_output(tmp_path, monkeypatch
 
 
 SPEC = SweepSpec(5.0, 1.0, 5.0, (0, 1, 2, 3), 0.0, 4.0, 8000)
+
+
+def test_emit_refuses_blocks_before_it_forks_or_opens(tmp_path, monkeypatch):
+    # SPEC itself would fork a worker on two CPUs; its blocks fork nothing.
+    _pin(monkeypatch, 2)
+    _forbid_fork(monkeypatch)
+    blocks = run_sweep(SPEC)
+    existing, new = tmp_path / "existing.csv", tmp_path / "new.csv"
+    existing.write_text("kept\n")
+    for target in (existing, new):
+        with pytest.raises(TypeError, match="^emit takes a SweepSpec, got list; "):
+            emit(blocks, "csv", target)
+    assert existing.read_text() == "kept\n"
+    assert not new.exists()
 
 
 class _Failing:

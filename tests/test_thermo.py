@@ -256,6 +256,14 @@ def test_finite_difference_where_the_kernel_overflows_is_an_overflow_error():
     assert str(info.value) == "F, S or C_v is undefined at mu = 1.98, n = 0, tau = 1e+308"
 
 
+def test_finite_difference_with_a_step_whose_square_leaves_double_range_names_the_stencil():
+    # step**2 = 1e608 overflows; the second difference divides by the step
+    # twice, so the check reaches the kernel and names the point.
+    with pytest.raises(OverflowError) as info:
+        finite_diff_check(ModelParams(5.0, 1.0, 1.98), 0, 1e308, 1e304)
+    assert str(info.value) == "F, S or C_v is undefined at mu = 1.98, n = 0, tau = 1e+308"
+
+
 def test_free_energy_tracks_log_z():
     params = ModelParams(**FIG, mu=1.0)
     taus = np.linspace(0.5, 5.0, 20)
