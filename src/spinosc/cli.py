@@ -1,10 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 usage/validation error (an output that cannot be
-written or a sweep worker that stops early too), 3 requested point sits on a
-coalescence (all observables undefined), 4 verification failure.  Data output
-is a pure rendering of library results and is byte-identical across identical
-runs.
+written, a closed standard output or a sweep worker that stops early too),
+3 requested point sits on a coalescence (all observables undefined), 4
+verification failure, 130 interrupted (Ctrl-C).  Data output is a pure
+rendering of library results and is byte-identical across identical runs.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_UNDEFINED = 3
 EXIT_VERIFY = 4
+EXIT_INTERRUPTED = 130
 
 
 def _fmt(value: float) -> str:
@@ -99,7 +100,7 @@ def _cmd_spectrum(args) -> int:
     spectrum = block_spectrum(params, args.n)
     mu_c = critical_coupling(params, args.n)
     print(f"n = {args.n}")
-    print(f"mu = {_fmt(args.mu)}")
+    print(f"mu = {_fmt(params.mu)}")
     print(f"region = {spectrum.region.value}")
     print(f"mu_c = {_fmt(mu_c)}")
     print(f"discriminant = {_fmt(spectrum.discriminant)}")
@@ -135,7 +136,7 @@ def _cmd_sweep(args) -> int:
         alpha=args.alpha,
         homega=args.homega,
         tau=args.tau,
-        subspaces=tuple(args.subspaces),
+        subspaces=args.subspaces,
         mu_min=args.mu_min,
         mu_max=args.mu_max,
         steps=args.steps,
@@ -171,8 +172,12 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        # Python sets sys.stdout to None when it starts with descriptor 1 closed.
+        if sys.stdout is None and getattr(args, "output", "-") == "-":
+            raise OSError("standard output is closed")
         status = handlers[args.command](args)
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return status
     except BrokenPipeError:
         # The reader of stdout is gone (as with `| head`): stop quietly.  A
@@ -183,7 +188,6 @@ def main(argv=None) -> int:
     except (ValueError, ExceptionalPoint, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    except KeyboardInterrupt:
+        # Ctrl-C: emit has already killed and reaped any sweep workers on the way out.
+        return EXIT_INTERRUPTED

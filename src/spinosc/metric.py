@@ -30,7 +30,6 @@ from .spectral import PhaseRegion, phase
 
 __all__ = [
     "ExceptionalPoint",
-    "BiorthoSystem",
     "MetricMatrix",
     "MetricDiagnostics",
     "biortho_system",
@@ -43,13 +42,6 @@ __all__ = [
 
 class ExceptionalPoint(ArithmeticError):
     """Metric is singular at the eigenvalue coalescence point."""
-
-
-class BiorthoSystem(NamedTuple):
-    """Matched (right, left) eigenvector pairs with their overlap matrix."""
-
-    pairs: tuple[Eigenpair2, Eigenpair2]
-    overlap_matrix: np.ndarray
 
 
 class MetricMatrix(NamedTuple):
@@ -67,20 +59,15 @@ class MetricDiagnostics(NamedTuple):
     intertwining_residual: float
 
 
-def _with_overlaps(pairs: list[Eigenpair2]) -> BiorthoSystem:
-    import numpy as np
-
-    overlap_matrix = np.array([[np.vdot(li.left_vector, rj.right_vector) for rj in pairs] for li in pairs])
-    return BiorthoSystem(tuple(pairs), overlap_matrix)
-
-
-def biortho_system(m) -> BiorthoSystem:
+def biortho_system(m) -> tuple[Eigenpair2, Eigenpair2]:
     """Biorthonormalize the eigenvectors of a 2x2 block: <L_i|R_j> = delta_ij.
 
-    Pairing comes from eig2 (the left vector of each pair is the adjoint
-    eigenvector with the conjugated eigenvalue), which covers both the real
-    unbroken spectrum and the conjugate-pair broken spectrum.  Raises
-    DefectiveMatrix when the block is not diagonalizable.
+    Returns the two pairs, each with a unit right vector and the left vector
+    scaled so that <L|R> = 1.  Pairing comes from eig2 (the left vector of
+    each pair is the adjoint eigenvector with the conjugated eigenvalue),
+    which covers both the real unbroken spectrum and the conjugate-pair
+    broken spectrum.  Raises DefectiveMatrix when the block is not
+    diagonalizable.
     """
     import numpy as np
 
@@ -96,11 +83,11 @@ def biortho_system(m) -> BiorthoSystem:
                 eigenvalues=(pairs[0].value, pairs[1].value),
             )
         normalized.append(Eigenpair2(p.value, right, left / np.conj(overlap)))
-    return _with_overlaps(normalized)
+    return tuple(normalized)
 
 
-def fix_gauge_balanced(b: BiorthoSystem) -> BiorthoSystem:
-    """Apply (L, R) -> (c L, R / conj(c)) so that ||L|| = ||R|| for each pair.
+def fix_gauge_balanced(pairs: tuple[Eigenpair2, Eigenpair2]) -> tuple[Eigenpair2, Eigenpair2]:
+    """The two pairs of biortho_system after (L, R) -> (c L, R / conj(c)), so that ||L|| = ||R|| for each.
 
     |c| = sqrt(||R|| / ||L||) balances the norms; the phase of c rotates the
     largest component of each left vector onto the real axis, so real blocks
@@ -110,7 +97,7 @@ def fix_gauge_balanced(b: BiorthoSystem) -> BiorthoSystem:
     import numpy as np
 
     gauged = []
-    for p in b.pairs:
+    for p in pairs:
         norm_l = np.linalg.norm(p.left_vector)
         norm_r = np.linalg.norm(p.right_vector)
         if norm_l == 0.0 or norm_r == 0.0:
@@ -123,7 +110,7 @@ def fix_gauge_balanced(b: BiorthoSystem) -> BiorthoSystem:
             phase = np.exp(-1j * np.angle(anchor))
         c = magnitude * phase
         gauged.append(Eigenpair2(p.value, p.right_vector / np.conj(c), c * p.left_vector))
-    return _with_overlaps(gauged)
+    return tuple(gauged)
 
 
 def _phase_regular(params: ModelParams, n: int) -> tuple[PhaseRegion, float]:
@@ -166,9 +153,8 @@ def eta_from_vectors(params: ModelParams, n: int) -> np.ndarray:
 
     n = check_subspace_index(n)
     _phase_regular(params, n)
-    system = fix_gauge_balanced(biortho_system(build_block(params, n)))
     out = np.zeros((2, 2), dtype=complex)
-    for p in system.pairs:
+    for p in fix_gauge_balanced(biortho_system(build_block(params, n))):
         out += np.outer(p.left_vector, p.left_vector.conj())
     return out
 

@@ -35,7 +35,9 @@ class ModelParams(namedtuple("ModelParams", "alpha homega mu")):
     mu      -- non-Hermitian coupling strength.  All formulas depend on mu**2
                only, so mu < 0 is rejected rather than silently squared.
 
-    Temperatures elsewhere are k_B*T in the same energy units (k_B = 1).
+    Each field is stored as a float, 0.0 for a negative zero, so that -0.0
+    and 0.0 make the same record.  Temperatures elsewhere are k_B*T in the
+    same energy units (k_B = 1).
     """
 
     __slots__ = ()
@@ -43,7 +45,7 @@ class ModelParams(namedtuple("ModelParams", "alpha homega mu")):
     def __new__(cls, alpha: float, homega: float, mu: float):
         values = []
         for name, value in zip(cls._fields, (alpha, homega, mu)):
-            value = float(value)
+            value = float(value) + 0.0  # + 0.0 turns -0.0 into 0.0 and keeps every other value
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             values.append(value)

@@ -59,7 +59,10 @@ larger grid into several sweeps.
 
 
 class SweepSpec(namedtuple("SweepSpec", "alpha homega tau subspaces mu_min mu_max steps ep_window")):
-    """Grid description: mu in [mu_min, mu_max] with `steps` uniform points per subspace."""
+    """Grid description: mu in [mu_min, mu_max] with `steps` uniform points per subspace.
+
+    Stored canonical: the subspaces distinct and ascending, every energy a float (0.0 for -0.0).
+    """
 
     __slots__ = ()
 
@@ -74,28 +77,28 @@ class SweepSpec(namedtuple("SweepSpec", "alpha homega tau subspaces mu_min mu_ma
         steps: int,
         ep_window: float = 1e-6,
     ):
-        _check_tau(tau)
+        tau = _check_tau(tau)
         for name, value in (("mu_min", mu_min), ("mu_max", mu_max)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not subspaces:
             raise ValueError("at least one subspace index is required")
-        for n in subspaces:
-            check_subspace_index(n)
+        subspaces = tuple(sorted({check_subspace_index(n) for n in subspaces}))
         if mu_min < 0.0:
             raise ValueError(f"mu_min must be nonnegative, got {mu_min}")
         if not mu_min < mu_max:
             raise ValueError(f"mu_min must be below mu_max, got [{mu_min}, {mu_max}]")
         # ModelParams checks alpha and homega; |disc| peaks at mu_max in the top subspace.
-        discriminant(ModelParams(alpha, homega, mu_max), max(subspaces))
+        params = ModelParams(alpha, homega, mu_max)
+        discriminant(params, subspaces[-1])
         if isinstance(steps, bool) or not isinstance(steps, Integral) or steps < 2:
             raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
-        if len(set(subspaces)) * steps > MAX_ROWS:
-            raise ValueError(f"{len(set(subspaces))} subspaces x {steps} steps exceeds the {MAX_ROWS} row cap")
+        if len(subspaces) * steps > MAX_ROWS:
+            raise ValueError(f"{len(subspaces)} subspaces x {steps} steps exceeds the {MAX_ROWS} row cap")
         if ep_window < 0.0 or not math.isfinite(ep_window):
             raise ValueError(f"ep_window must be a finite nonnegative value, got {ep_window}")
-        subspaces = tuple(int(n) for n in subspaces)
-        return super().__new__(cls, alpha, homega, tau, subspaces, mu_min, mu_max, steps, ep_window)
+        mu_min, ep_window = float(mu_min) + 0.0, float(ep_window) + 0.0  # + 0.0 turns -0.0 into 0.0
+        return super().__new__(cls, params.alpha, params.homega, tau, subspaces, mu_min, params.mu, steps, ep_window)
 
     @classmethod
     def _make(cls, iterable):
@@ -127,16 +130,15 @@ def _units(spec: SweepSpec) -> list[tuple[int, float, array]]:
         array("d", [spec.mu_min + i * width for i in range(start, min(start + _PART_ROWS, spec.steps))])
         for start in range(0, spec.steps, _PART_ROWS)
     ]
-    subspaces = sorted(set(spec.subspaces))
-    mu_cs = [critical_coupling(ModelParams(spec.alpha, spec.homega, 0.0), n) for n in subspaces]
-    return [(n, mu_c, part) for n, mu_c in zip(subspaces, mu_cs) for part in parts]
+    mu_cs = [critical_coupling(ModelParams(spec.alpha, spec.homega, 0.0), n) for n in spec.subspaces]
+    return [(n, mu_c, part) for n, mu_c in zip(spec.subspaces, mu_cs) for part in parts]
 
 
 def _evaluate(spec: SweepSpec, unit: tuple[int, float, array]) -> SweepBlock:
     """One unit's block: the kernel over its part of the mu grid."""
     n, mu_c, part = unit
-    tau = float(spec.tau)
-    return SweepBlock(n, mu_c, part, tau, closed_forms(spec.alpha, spec.homega, n, part, tau, (mu_c, spec.ep_window)))
+    window = (mu_c, spec.ep_window)
+    return SweepBlock(n, mu_c, part, spec.tau, closed_forms(spec.alpha, spec.homega, n, part, spec.tau, window))
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepBlock]:
@@ -175,7 +177,7 @@ _JSON_KEYS = ("n", "mu", "tau", "region", "mu_c", "Z", "F", "S", "Cv", "valid")
 _FLAGS = ("false", "true")
 
 
-def _render(block: SweepBlock, mu_texts: list[str], args: list, head: str, sep: str, template) -> str:
+def _render(block: SweepBlock, mu_texts: list[str], args: list[float], head: str, sep: str, template) -> str:
     """The block's rows, each head + mu text + its template, filled by one % from args.
 
     template(region, valid, defined) serves every row of one kernel code;
@@ -208,7 +210,7 @@ def render_csv(block: SweepBlock | list[SweepBlock], mu_texts: list[str] | None 
     def template(region, valid, defined):
         return ",".join(["", tau, region, mu_c, *(("", "%.12g")[flag] for flag in defined), valid]) + "\n"
 
-    return _render(block, mu_texts, block.columns.values.tolist(), f"{block.n},", "", template)
+    return _render(block, mu_texts, block.columns.values, f"{block.n},", "", template)
 
 
 def render_json(block: SweepBlock | list[SweepBlock], mu_texts: list[str] | None = None) -> str:
@@ -229,7 +231,7 @@ def render_json(block: SweepBlock | list[SweepBlock], mu_texts: list[str] | None
         return "".join(f',\n    "{key}": {text}' for key, text in zip(_JSON_KEYS[2:], texts)) + "\n  }"
 
     head = f'  {{\n    "n": {block.n},\n    "mu": '
-    args = block.columns.values.tolist()
+    args = block.columns.values
     text = _render(block, mu_texts, args, head, ",\n", template)
     # Cheap whole-block tests decide whether a rule can apply: an integer
     # text is a number without a ".", so there are fewer "." than numbers,
@@ -283,7 +285,7 @@ def _processes(spec: SweepSpec, units: list) -> int:
     where other threads run: a forked child gets none of them, but may get
     a lock one of them holds, and from Python 3.12 os.fork warns of them.
     """
-    if len(set(spec.subspaces)) * spec.steps <= _PART_ROWS or not hasattr(os, "fork") or _other_threads():
+    if len(spec.subspaces) * spec.steps <= _PART_ROWS or not hasattr(os, "fork") or _other_threads():
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(cpus, len(units))

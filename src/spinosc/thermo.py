@@ -16,14 +16,15 @@ and differentiating ln Z in tau:
 
 One kernel, closed_forms, evaluates these over a coupling grid of one
 subspace with one math-module loop: each row gets a code (its region and
-which observables are defined) and its defined values, in row order.
+which observables are defined), and the defined values of all rows go, in
+row order, into one list of floats that its callers use as it is.
 thermo_point runs it on a one-point grid, and the scalar accessors and
 finite_diff_check read their values through thermo_point; emit and
 run_sweep run it once per unit of a sweep (one subspace times one part of
 its grid).  The row-by-row reference version of the same formulas lives in
-the tests.  The matrix trace itself (partition_function, free_energy) is
-the oracle the closed forms are validated against in the verification suite
-and the tests; it, and only it, imports numpy.
+the tests.  The matrix trace itself (partition_function) is the oracle the
+closed forms are validated against in the verification suite and the
+tests; it, and only it, imports numpy.
 finite_diff_check differentiates the matrix-route ln Z numerically and
 compares it with d lnZ/d tau = U/tau^2 and d2 lnZ/d tau2 derived from the
 kernel's F, S and C_v, so that oracle checks the production S and C_v.
@@ -40,7 +41,6 @@ the coalescence point itself: observables are undefined and accessors raise.
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Iterable
 from typing import NamedTuple
 
@@ -59,7 +59,6 @@ __all__ = [
     "row_kind",
     "closed_forms",
     "partition_function",
-    "free_energy",
     "entropy",
     "specific_heat",
     "thermo_point",
@@ -130,12 +129,12 @@ class ClosedForms(NamedTuple):
     """Observables over a coupling grid, one code per row and the defined values in row order.
 
     A row's code is 16 times its region's index in REGIONS plus the
-    OBSERVABLE_BITS of its defined observables; `values` holds those, in the
-    order Z, F, S, C_v, row after row.
+    OBSERVABLE_BITS of its defined observables; `values` is the list of
+    those floats, in the order Z, F, S, C_v, row after row.
     """
 
     codes: bytes
-    values: array
+    values: list[float]
 
 
 def row_kind(code: int) -> tuple[PhaseRegion, list[bool]]:
@@ -223,7 +222,7 @@ def closed_forms(
                 code |= bit
                 put((value,))
         end_row(code)
-    return ClosedForms(bytes(codes), array("d", values))
+    return ClosedForms(bytes(codes), values)
 
 
 def _defined(params: ModelParams, n: int, tau: float):
@@ -232,15 +231,6 @@ def _defined(params: ModelParams, n: int, tau: float):
     if point.region is PhaseRegion.EXCEPTIONAL:
         raise ExceptionalPoint(f"observables are singular at mu = {params.mu} (coalescence for subspace n = {point.n})")
     return point[4:8]
-
-
-def free_energy(params: ModelParams, n: int, tau: float) -> float | None:
-    """F = -tau ln Z from the matrix-route Z; None where Z <= 0."""
-    tau = _check_tau(tau)
-    z = partition_function(params, n, tau)
-    if z <= 0.0:
-        return None
-    return -tau * math.log(z)
 
 
 def entropy(params: ModelParams, n: int, tau: float) -> float | None:

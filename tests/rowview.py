@@ -7,7 +7,6 @@ are what the tests compare row by row.
 import contextlib
 import io
 import json
-from array import array
 from typing import NamedTuple
 
 from spinosc.cli import main
@@ -32,7 +31,7 @@ class SweepRow(NamedTuple):
 def block_rows(block):
     """The block's rows in mu order; None where the kernel left a value undefined."""
     codes, values = block.columns
-    defined = iter(values.tolist())
+    defined = iter(values)
     for mu, code in zip(block.mu.tolist(), codes):
         region, flags = row_kind(code)
         observables = (next(defined) if flag else None for flag in flags)
@@ -41,13 +40,13 @@ def block_rows(block):
 
 def columns_of(regions, z, free_energy, entropy, specific_heat):
     """The kernel's columns for hand-made rows: a region per row, None where a value is undefined."""
-    codes, values = bytearray(), array("d")
+    codes, values = bytearray(), []
     for region, row in zip(regions, zip(z, free_energy, entropy, specific_heat)):
         code = REGIONS.index(region) << 4
         for bit, value in zip(OBSERVABLE_BITS, row):
             if value is not None:
                 code |= bit
-                values.append(value)
+                values.append(float(value))
         codes.append(code)
     return ClosedForms(bytes(codes), values)
 

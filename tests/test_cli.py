@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -288,6 +289,67 @@ def test_closed_stdout_exits_0_quietly(unbuffered):
     # Closed before the interpreter is up: the short text meets it at the flush.
     thermo = ("thermo", "--n", "0", "--mu", "1")
     assert _closed_stdout_run(thermo, env, None) == (0, b"")
+
+
+def _closed_fd1_run(*args):
+    """A CLI run started with descriptor 1 closed, through the shell's >&-."""
+    return subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "spinosc", *args], capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("spectrum", "--n", "0", "--mu", "1"),
+        ("thermo", "--n", "0", "--mu", "1"),
+        ("sweep", "--steps", "3"),
+        ("fig", "--id", "1", "--steps", "3", "--output", "-"),
+        ("verify", "--cutoff", "4"),
+    ],
+)
+def test_closed_stdout_at_start_exits_2_with_one_line(args):
+    result = _closed_fd1_run(*args)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: standard output is closed\n")
+
+
+def test_closed_stdout_does_not_stop_a_sweep_to_a_file(tmp_path):
+    target = tmp_path / "rows.csv"
+    result = _closed_fd1_run("sweep", "--steps", "3", "--output", str(target))
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+    assert target.read_text() == run_cli("sweep", "--steps", "3").stdout
+
+
+def _children(pid):
+    """The pids of a process's children, where /proc lists them."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as listing:
+            return [int(child) for child in listing.read().split()]
+    except OSError:
+        return []
+
+
+def test_ctrl_c_exits_130_quietly_after_reaping_the_workers():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spinosc", "sweep", "--subspaces", "0", "1", "--steps", "500000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"n,mu,tau,region,mu_c,Z,F,S,Cv,valid\n"
+    assert proc.stdout.readline().startswith(b"0,0,5,Unbroken,")  # the workers are forked before any row
+    workers = _children(proc.pid)
+    proc.send_signal(signal.SIGINT)
+    _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (130, b"")
+    assert not [pid for pid in workers if os.path.exists(f"/proc/{pid}")]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "thermo"])
+def test_negative_zero_coupling_prints_as_zero(command):
+    negative, positive = run_cli(command, "--n", "0", "--mu", "-0.0"), run_cli(command, "--n", "0", "--mu", "0")
+    assert negative.returncode == positive.returncode == 0
+    assert (negative.stdout, negative.stderr) == (positive.stdout, positive.stderr)
+    assert "mu = 0\n" in negative.stdout
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")

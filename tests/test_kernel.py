@@ -145,6 +145,12 @@ def test_kernel_masks_excluded_points():
     assert len(values) == 4 + 2
 
 
+def test_kernel_values_are_one_list_of_floats():
+    codes, values = closed_forms(5.0, 1.0, 0, [0.0, 1.0, 2.0, 3.0], 1.0)
+    assert type(values) is list and len(values) == 4 + 4 + 2
+    assert all(type(value) is float for value in values)
+
+
 def test_kernel_raises_no_runtime_warning_at_extremes():
     # math raises where numpy returned inf or NaN: cos(inf) at tau = 5e-324,
     # cosh past x ~ 710, x**2 past 1.3e154.  The kernel must not reach any.

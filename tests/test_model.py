@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,12 @@ def test_params_are_a_named_tuple_of_floats():
     alpha, homega, mu = params
     assert (type(alpha), type(homega), type(mu)) == (float, float, float)
     assert repr(params) == "ModelParams(alpha=5.0, homega=1.0, mu=1.0)"
+
+
+def test_params_store_zero_for_a_negative_zero():
+    params = ModelParams(-0.0, 1.0, -0.0)
+    assert [math.copysign(1.0, value) for value in params] == [1.0, 1.0, 1.0]
+    assert repr(params) == repr(ModelParams(0, 1, 0)) == "ModelParams(alpha=0.0, homega=1.0, mu=0.0)"
 
 
 def test_replace_and_make_check_like_the_constructor():

