@@ -186,6 +186,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     except (ValueError, ExceptionalPoint, OSError) as exc:
+        # Failures on files and workers are named where they occur; an OS errno left here is standard output's.
+        if isinstance(exc, OSError) and exc.errno is not None:
+            exc = f"could not write to standard output: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:

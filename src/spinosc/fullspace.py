@@ -135,6 +135,7 @@ def block_decomposition_check(params: ModelParams, cutoff: int) -> BlockCheck:
     """
     import numpy as np
 
+    cutoff = _check_cutoff(cutoff)
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2 for a block comparison, got {cutoff}")
     h = assemble_full(params, cutoff)

@@ -1,10 +1,11 @@
 """Metric operator per subspace, built two independent ways.
 
-The eigenvector route sums |L><L| over gauge-fixed left eigenvectors of the
-block.  Biorthonormality <L_i|R_j> = delta_ij only fixes the product of the
+The eigenvector route sums |L><L| over the left eigenvectors of the block.
+Biorthonormality <L_i|R_j> = delta_ij only fixes the product of the
 left/right scales; the residual freedom (L, R) -> (c L, R / conj(c)) is
 removed by the *balanced gauge* <L|L> = <R|R>, which is the unique choice
-that makes the summed metric real symmetric with unit determinant.
+that makes the summed metric real symmetric with unit determinant.  Only
+|c|^2 reaches the metric, as (c L)(c L)^dagger = |c|^2 L L^dagger.
 
 The closed-form route evaluates the resulting entries directly.  With
 b = mu*sqrt(n+1) and s = sign(delta):
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .model import ModelParams, adjoint_block, build_block, check_subspace_index
+from .model import ModelParams, build_block, check_subspace_index
 from .smallmat import DefectiveMatrix, Eigenpair2, eig2
 from .spectral import PhaseRegion, phase
 
@@ -33,7 +34,6 @@ __all__ = [
     "MetricMatrix",
     "MetricDiagnostics",
     "biortho_system",
-    "fix_gauge_balanced",
     "eta",
     "eta_from_vectors",
     "verify_metric",
@@ -86,33 +86,6 @@ def biortho_system(m) -> tuple[Eigenpair2, Eigenpair2]:
     return tuple(normalized)
 
 
-def fix_gauge_balanced(pairs: tuple[Eigenpair2, Eigenpair2]) -> tuple[Eigenpair2, Eigenpair2]:
-    """The two pairs of biortho_system after (L, R) -> (c L, R / conj(c)), so that ||L|| = ||R|| for each.
-
-    |c| = sqrt(||R|| / ||L||) balances the norms; the phase of c rotates the
-    largest component of each left vector onto the real axis, so real blocks
-    keep real vectors (already-real vectors pass through untouched).
-    Overlaps <L_i|R_j> are invariant under this rescaling.
-    """
-    import numpy as np
-
-    gauged = []
-    for p in pairs:
-        norm_l = np.linalg.norm(p.left_vector)
-        norm_r = np.linalg.norm(p.right_vector)
-        if norm_l == 0.0 or norm_r == 0.0:
-            raise ValueError("gauge fixing requires nonzero eigenvectors")
-        magnitude = math.sqrt(norm_r / norm_l)
-        anchor = complex(p.left_vector[int(np.argmax(np.abs(p.left_vector)))])
-        if abs(anchor.imag) <= 1e-14 * abs(anchor):
-            phase = 1.0
-        else:
-            phase = np.exp(-1j * np.angle(anchor))
-        c = magnitude * phase
-        gauged.append(Eigenpair2(p.value, p.right_vector / np.conj(c), c * p.left_vector))
-    return tuple(gauged)
-
-
 def _phase_regular(params: ModelParams, n: int) -> tuple[PhaseRegion, float]:
     """phase(params, n); raises ExceptionalPoint at the coalescence point."""
     region, disc = phase(params, n)
@@ -145,17 +118,19 @@ def eta(params: ModelParams, n: int) -> MetricMatrix:
 def eta_from_vectors(params: ModelParams, n: int) -> np.ndarray:
     """Metric as sum_i |L_i><L_i| over balanced-gauge left eigenvectors.
 
-    Independent of the closed forms; used to cross-validate them.  The result
-    carries rounding-level imaginary parts from complex arithmetic in the
-    broken region.
+    Each left vector is scaled by the gauge's |c| = sqrt(||R|| / ||L||); its
+    phase would cancel.  Independent of the closed forms; used to
+    cross-validate them.  The result carries rounding-level imaginary parts
+    from complex arithmetic in the broken region.
     """
     import numpy as np
 
     n = check_subspace_index(n)
     _phase_regular(params, n)
     out = np.zeros((2, 2), dtype=complex)
-    for p in fix_gauge_balanced(biortho_system(build_block(params, n))):
-        out += np.outer(p.left_vector, p.left_vector.conj())
+    for p in biortho_system(build_block(params, n)):
+        left = math.sqrt(np.linalg.norm(p.right_vector) / np.linalg.norm(p.left_vector)) * p.left_vector
+        out += np.outer(left, left.conj())
     return out
 
 
@@ -173,5 +148,5 @@ def verify_metric(params: ModelParams, n: int) -> MetricDiagnostics:
     symmetry_residual = float(np.linalg.norm(g - g.T))
     det_error = abs(float(np.linalg.det(g)) - 1.0)
     positive_definite = bool(np.trace(g) > 0.0 and np.linalg.det(g) > 0.0)
-    intertwining_residual = float(np.linalg.norm(g @ h - adjoint_block(h) @ g))
+    intertwining_residual = float(np.linalg.norm(g @ h - h.conj().T @ g))
     return MetricDiagnostics(symmetry_residual, det_error, positive_definite, intertwining_residual)

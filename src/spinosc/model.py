@@ -14,14 +14,11 @@ import math
 from collections import namedtuple
 from numbers import Integral
 
-from .smallmat import _as_block
-
 __all__ = [
     "ModelParams",
     "MAX_SUBSPACE",
     "check_subspace_index",
     "build_block",
-    "adjoint_block",
     "sigma_z_residual",
 ]
 
@@ -104,11 +101,6 @@ def build_block(params: ModelParams, n: int) -> np.ndarray:
     )
 
 
-def adjoint_block(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a 2x2 block."""
-    return _as_block(m).conj().T
-
-
 def sigma_z_residual(params: ModelParams, n: int) -> float:
     """Frobenius norm of sigma_z H sigma_z^-1 - H^dagger on one block.
 
@@ -120,4 +112,4 @@ def sigma_z_residual(params: ModelParams, n: int) -> float:
 
     h = build_block(params, n)
     sz = np.diag([1.0, -1.0])
-    return float(np.linalg.norm(sz @ h @ sz - adjoint_block(h)))
+    return float(np.linalg.norm(sz @ h @ sz - h.conj().T))

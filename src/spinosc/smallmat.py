@@ -36,9 +36,9 @@ class ConvergenceFailure(ArithmeticError):
 class Eigenpair2(NamedTuple):
     """One matched eigenvalue with right vector of m and left vector of adjoint(m).
 
-    Vectors are unnormalized; gauge and biorthonormal scaling are applied
-    downstream.  The left vector is the adjoint eigenvector whose eigenvalue
-    conjugates to `value`.
+    Vectors are unnormalized; biorthonormal scaling and the balanced gauge's
+    |c|^2, all the metric needs of the gauge, are applied downstream.  The
+    left vector is the adjoint eigenvector whose eigenvalue conjugates to `value`.
     """
 
     value: complex

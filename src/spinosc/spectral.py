@@ -21,7 +21,6 @@ __all__ = [
     "NoSignChange",
     "phase_rule",
     "phase",
-    "discriminant",
     "classify",
     "block_spectrum",
     "critical_coupling",
@@ -83,11 +82,6 @@ def phase(params: ModelParams, n: int) -> tuple[PhaseRegion, float]:
     if exceptional:
         return PhaseRegion.EXCEPTIONAL, disc
     return (PhaseRegion.UNBROKEN if disc > 0.0 else PhaseRegion.BROKEN), disc
-
-
-def discriminant(params: ModelParams, n: int) -> float:
-    """delta**2 - 4*mu**2*(n+1); ValueError where it leaves double range."""
-    return phase(params, n)[1]
 
 
 def classify(params: ModelParams, n: int) -> PhaseRegion:

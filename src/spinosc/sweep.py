@@ -22,10 +22,10 @@ when it is built, so a sweep is refused before emit opens its destination.
 
 A renderer builds a block's text with one `%` over its defined observables:
 each row is a head (n), its mu text and the template of its kernel code,
-with tau, mu_c, the region and the valid flag baked in.  A JSON observable
-whose .12g text is not json's number for it is rewritten afterwards, found
-by cheap tests on the whole block first.  Output is byte-identical for
-identical inputs.
+with tau, mu_c, the region and the valid flag baked in.  A JSON number is
+json's own for the value's .12g text, repr(float(.12g text)); it is applied
+only where one cheap test, on the whole text and then on each text, says a
+text may differ.  Output is byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import io
 import math
 import os
-import re
 import sys
 from array import array
 from collections import namedtuple
@@ -42,7 +41,7 @@ from numbers import Integral
 from typing import NamedTuple, NoReturn
 
 from .model import ModelParams, check_subspace_index
-from .spectral import critical_coupling, discriminant
+from .spectral import critical_coupling, phase
 from .thermo import ClosedForms, _check_tau, closed_forms, row_kind
 
 __all__ = ["SweepSpec", "SweepBlock", "run_sweep", "emit", "CSV_HEADER", "MAX_ROWS"]
@@ -90,7 +89,7 @@ class SweepSpec(namedtuple("SweepSpec", "alpha homega tau subspaces mu_min mu_ma
             raise ValueError(f"mu_min must be below mu_max, got [{mu_min}, {mu_max}]")
         # ModelParams checks alpha and homega; |disc| peaks at mu_max in the top subspace.
         params = ModelParams(alpha, homega, mu_max)
-        discriminant(params, subspaces[-1])
+        phase(params, subspaces[-1])
         if isinstance(steps, bool) or not isinstance(steps, Integral) or steps < 2:
             raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
         if len(subspaces) * steps > MAX_ROWS:
@@ -151,26 +150,22 @@ def _csv_numbers(values: list[float]) -> list[str]:
     return ("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1]
 
 
-# .12g texts whose JSON number is not a string rule away: exponents 12 to 15,
-# which json writes positionally, and subnormals, whose shortest repr can
-# have fewer digits than their .12g text.
-_REPR_EXPONENT = r"e(?:\+1[2-5]|-30[89]|-3[12]\d)"
-_REPR_TEXT = re.compile(rf"^.*{_REPR_EXPONENT}$", re.MULTILINE)
+def _json_may_differ(text: str, numbers: int) -> bool:
+    """Whether a .12g text among the `numbers` in text may differ from json's number for it, repr(float(text)).
+
+    Only an integer text (no "."), an exponent 12 to 15 (a "+"; repr writes
+    it positionally) and a subnormal (an "e-3"; its repr can be shorter) can.
+    """
+    return text.count(".") < numbers or "+" in text or "e-3" in text
 
 
 def _json_numbers(values: list[float]) -> list[str]:
     """The JSON number json.dumps writes for float of the .12g text, for every value."""
     text = "%.12g\n" * len(values) % tuple(values)
-    if "e+1" in text or "e-3" in text:
-        text = _REPR_TEXT.sub(lambda match: repr(float(match[0])), text)
-    # An integer text becomes a JSON float by its ".0".
-    return [t if "." in t or "e" in t else t + ".0" for t in text.split("\n")[:-1]]
-
-
-# The same rules for an observable field of a rendered JSON record, whose
-# .12g text the template wrote.
-_JSON_INTEGER = re.compile(r'("(?:Z|F|S|Cv)": -?\d+),')
-_JSON_REPR = re.compile(rf'("(?:Z|F|S|Cv)": )(-?[\d.]+{_REPR_EXPONENT}),')
+    texts = text.split("\n")[:-1]
+    if _json_may_differ(text, len(values)):
+        texts = [repr(float(t)) if _json_may_differ(t, 1) else t for t in texts]
+    return texts
 
 
 _JSON_KEYS = ("n", "mu", "tau", "region", "mu_c", "Z", "F", "S", "Cv", "valid")
@@ -226,21 +221,17 @@ def render_json(block: SweepBlock | list[SweepBlock], mu_texts: list[str] | None
         mu_texts = _json_numbers(block.mu.tolist())
     tau, mu_c = _json_numbers([block.tau, block.mu_c])
 
-    def template(region, valid, defined):
-        texts = (tau, f'"{region}"', mu_c, *(("null", "%.12g")[flag] for flag in defined), valid)
+    def template(region, valid, defined, number="%.12g"):
+        texts = (tau, f'"{region}"', mu_c, *(("null", number)[flag] for flag in defined), valid)
         return "".join(f',\n    "{key}": {text}' for key, text in zip(_JSON_KEYS[2:], texts)) + "\n  }"
 
     head = f'  {{\n    "n": {block.n},\n    "mu": '
     args = block.columns.values
     text = _render(block, mu_texts, args, head, ",\n", template)
-    # Cheap whole-block tests decide whether a rule can apply: an integer
-    # text is a number without a ".", so there are fewer "." than numbers,
-    # and an exponent 12 to 15 has a "+".  Rewriting a text that needs no fix
-    # leaves it as it is; missing one changes bytes.
-    if text.count(".") < 3 * len(block.columns.codes) + len(args):
-        text = _JSON_INTEGER.sub(r"\1.0,", text)
-    if "+" in text or args and min(map(abs, args)) < 1e-307:
-        text = _JSON_REPR.sub(lambda match: f"{match[1]}{float(match[2])!r},", text)
+    # Each record holds mu, tau and mu_c, already JSON numbers, and its defined
+    # observables; where one may differ, they are rendered again as JSON numbers.
+    if _json_may_differ(text, 3 * len(block.columns.codes) + len(args)):
+        text = _render(block, mu_texts, _json_numbers(args), head, ",\n", lambda *kind: template(*kind, "%s"))
     return text
 
 
@@ -307,16 +298,16 @@ def _spec_texts(spec: SweepSpec, format: str) -> Iterator[str]:
     finished = False
     try:
         for index in range(1, processes):
-            read_end, write_end = os.pipe()
-            readers.append(open(read_end, "rb"))
-            with open(write_end, "wb") as writer:
-                try:
+            try:
+                read_end, write_end = os.pipe()
+                readers.append(open(read_end, "rb"))
+                with open(write_end, "wb") as writer:
                     pid = os.fork()
-                except OSError as exc:
-                    raise ChildProcessError(f"could not start a sweep worker: {exc}") from exc
-                if pid == 0:
-                    _work(spec, units[index::processes], format, writer, readers)
-                running[index] = pid
+                    if pid == 0:
+                        _work(spec, units[index::processes], format, writer, readers)
+            except OSError as exc:
+                raise ChildProcessError(f"could not start a sweep worker: {exc}") from exc
+            running[index] = pid
         own = _unit_texts(spec, units[::processes], format)
         for i in range(len(units)):
             index = i % processes

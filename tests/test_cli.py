@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -358,6 +359,30 @@ def test_output_write_that_fails_part_way_exits_2_with_one_line():
     assert result.returncode == 2
     assert result.stderr.startswith("error: could not write sweep output to /dev/full")
     assert len(result.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(("spectrum", "--n", "0", "--mu", "1"), id="spectrum"),
+        pytest.param(("thermo", "--n", "0", "--mu", "1"), id="thermo"),
+        pytest.param(("sweep", "--steps", "3"), id="sweep"),
+        # Two subspaces of 9,000 steps: more than one grid part, so the sweep forks.
+        pytest.param(("sweep", "--subspaces", "0", "1", "--steps", "9000"), id="forked-sweep"),
+        pytest.param(("fig", "--id", "1", "--steps", "3"), id="fig"),
+        pytest.param(("verify", "--cutoff", "4"), id="verify"),
+    ],
+)
+def test_failed_write_to_stdout_names_it_and_exits_2(args):
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$@" >/dev/full', "sh", sys.executable, "-m", "spinosc", *args],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    no_space = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert result.stderr == f"error: could not write to standard output: {no_space}\n"
 
 
 def test_rejected_sweep_opens_no_output(tmp_path):

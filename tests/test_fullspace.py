@@ -90,8 +90,14 @@ def test_block_decomposition_broken_pairs_present():
 
 
 def test_block_decomposition_requires_two_levels():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cutoff must be >= 2 for a block comparison, got 1"):
         block_decomposition_check(ModelParams(5, 1, 1), 1)
+
+
+@pytest.mark.parametrize("cutoff", ["3", True])
+def test_block_decomposition_validates_the_cutoff_before_comparing_it(cutoff):
+    with pytest.raises(ValueError, match=f"^cutoff must be an integer, got {cutoff!r}$"):
+        block_decomposition_check(ModelParams(5, 1, 1), cutoff)
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from spinosc.model import ModelParams
-from spinosc.spectral import PhaseRegion, classify, critical_coupling, discriminant
+from spinosc.spectral import PhaseRegion, classify, critical_coupling, phase
 from spinosc.sweep import SweepSpec
 from spinosc.thermo import OBSERVABLE_BITS, closed_forms, entropy, row_kind, specific_heat, thermo_point
 
@@ -33,7 +33,7 @@ def reference_row(alpha, homega, n, mu, tau, ep_window):
     region = classify(params, n)
     if region is PhaseRegion.EXCEPTIONAL:
         return region, None, None, None, None, False
-    disc = discriminant(params, n)
+    disc = phase(params, n)[1]
     center = 0.5 * (2 * n + 1) * homega
     if region is PhaseRegion.UNBROKEN and mu == 0.0:
         b, prefactor = 0.5 * abs(params.delta), 2.0

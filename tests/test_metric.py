@@ -6,7 +6,6 @@ from spinosc.metric import (
     biortho_system,
     eta,
     eta_from_vectors,
-    fix_gauge_balanced,
     verify_metric,
 )
 from spinosc.model import ModelParams, build_block
@@ -47,42 +46,8 @@ def test_biortho_defective_at_coalescence():
         biortho_system(build_block(ModelParams(5, 1, 2), 0))
 
 
-def test_gauge_leaves_hermitian_limit_unchanged():
-    before = biortho_system(build_block(ModelParams(5, 1, 0), 0))
-    after = fix_gauge_balanced(before)
-    for a, b in zip(after, before):
-        assert np.allclose(a.left_vector, b.left_vector, rtol=0, atol=1e-14)
-        assert np.allclose(a.right_vector, b.right_vector, rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("mu,n", [(1.0, 0), (3.0, 0), (0.8, 2), (1.4, 1)])
-def test_gauge_balances_norms_and_keeps_overlaps(mu, n):
-    pairs = fix_gauge_balanced(biortho_system(build_block(ModelParams(**FIG, mu=mu), n)))
-    assert np.allclose(_overlaps(pairs), np.eye(2), rtol=0, atol=1e-12)
-    for pair in pairs:
-        assert np.linalg.norm(pair.left_vector) == pytest.approx(
-            np.linalg.norm(pair.right_vector), rel=1e-12
-        )
-
-
-def test_gauged_left_norms_reference_value():
-    pairs = fix_gauge_balanced(biortho_system(build_block(ModelParams(5, 1, 1), 0)))
-    for pair in pairs:
-        norm_sq = float(np.vdot(pair.left_vector, pair.left_vector).real)
-        assert norm_sq == pytest.approx(1.1547005383792515, rel=1e-12)
-
-
-def test_gauge_produces_real_vectors_for_real_unbroken_block():
-    pairs = fix_gauge_balanced(biortho_system(build_block(ModelParams(5, 1, 1.5), 0)))
-    for pair in pairs:
-        assert np.max(np.abs(pair.left_vector.imag)) < 1e-14
-        assert np.max(np.abs(pair.right_vector.imag)) < 1e-14
-
-
 def test_left_projector_sum_reference_broken_point():
-    pairs = fix_gauge_balanced(biortho_system(build_block(ModelParams(5, 1, 3), 0)))
-    total = sum(np.outer(p.left_vector, p.left_vector.conj()) for p in pairs)
-    assert np.allclose(total, ETA_N0_MU3, rtol=0, atol=1e-12)
+    assert np.allclose(eta_from_vectors(ModelParams(5, 1, 3), 0), ETA_N0_MU3, rtol=0, atol=1e-12)
 
 
 def test_eta_reference_unbroken():

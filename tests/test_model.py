@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinosc.fullspace import assemble_full
-from spinosc.model import ModelParams, adjoint_block, build_block, sigma_z_residual
+from spinosc.model import ModelParams, build_block, sigma_z_residual
 
 FIG = dict(alpha=5.0, homega=1.0)
 
@@ -26,21 +26,6 @@ def test_build_block_higher_subspace_matches_fullspace_rows():
     h = assemble_full(ModelParams(5, 1, 1), 5)
     embedded = h[np.ix_([6, 9], [6, 9])]
     assert np.allclose(block, embedded, rtol=0, atol=1e-15)
-
-
-def test_adjoint_block_flips_coupling():
-    m = np.array([[2.5, 1.0], [-1.0, -1.5]], dtype=complex)
-    assert np.allclose(adjoint_block(m), [[2.5, -1.0], [1.0, -1.5]], rtol=0, atol=1e-15)
-
-
-def test_adjoint_block_hermitian_fixed_point():
-    m = build_block(ModelParams(5, 1, 0), 2)
-    assert np.allclose(adjoint_block(m), m, rtol=0, atol=1e-15)
-
-
-def test_adjoint_block_conjugates_imaginary_entries():
-    m = np.array([[0.0, 1.0j], [1.0j, 0.0]])
-    assert np.allclose(adjoint_block(m), [[0.0, -1.0j], [-1.0j, 0.0]], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [dict(homega=0.0), dict(homega=-1.0), dict(mu=-0.5)])
@@ -120,4 +105,4 @@ def test_sigma_z_residual_exact_in_hermitian_limit():
 
 def test_mu_zero_block_is_hermitian():
     block = build_block(ModelParams(5, 1, 0), 4)
-    assert np.array_equal(block, adjoint_block(block))
+    assert np.array_equal(block, block.conj().T)

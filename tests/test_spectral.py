@@ -13,8 +13,8 @@ from spinosc.spectral import (
     block_spectrum,
     classify,
     critical_coupling,
-    discriminant,
     locate_ep_numeric,
+    phase,
 )
 
 FIG = dict(alpha=5.0, homega=1.0)
@@ -156,5 +156,5 @@ def test_eigenvalue_sum_is_block_trace(mu, n):
 
 
 def test_discriminant_formula():
-    assert discriminant(ModelParams(5, 1, 1), 3) == pytest.approx(16.0 - 16.0, abs=1e-15)
-    assert discriminant(ModelParams(5, 1, 2), 0) == 0.0
+    assert phase(ModelParams(5, 1, 1), 3)[1] == pytest.approx(16.0 - 16.0, abs=1e-15)
+    assert phase(ModelParams(5, 1, 2), 0)[1] == 0.0

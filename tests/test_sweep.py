@@ -412,6 +412,32 @@ def test_json_number_rule_matches_float_repr():
     assert _json_numbers(values) == [repr(float(format(x, ".12g"))) for x in values]
 
 
+# Observables of two ordinary rows, whose .12g texts are their JSON numbers,
+# and one kind of value each case puts among them: each kind trips one
+# disjunct of the whole-text test alone, so a test missing it shows here.
+_ORDINARY = [[4.56377406896, -3.03, 1.25, 0.353158819743], [2.5, 0.125, -7.75, 1.0625]]
+
+
+@pytest.mark.parametrize(
+    "row,column,value",
+    [
+        pytest.param(0, 3, 0.0, id="integer"),
+        pytest.param(1, 1, -0.0, id="negative-zero"),
+        pytest.param(0, 1, 1.5e13, id="exponent-12-to-15"),
+        pytest.param(1, 2, 5e-324, id="subnormal"),
+        pytest.param(0, 0, 4.56377406896, id="none"),
+    ],
+)
+def test_each_kind_of_json_number_is_json_dumps_among_ordinary_values(row, column, value):
+    observables = [list(values) for values in _ORDINARY]
+    observables[row][column] = value
+    unbroken = REGIONS[0]
+    block = _block(7, 1.5, [0.5, 1.25], 2.5, [unbroken] * 2, *zip(*observables))
+    assert render_json([block]) == render_json_reference(rows_of([block]))
+    flat = [x for values in observables for x in values]
+    assert _json_numbers(flat) == [json.dumps(float(format(x, ".12g"))) for x in flat]
+
+
 def _property_blocks():
     """Blocks whose observables hold every kind of value the JSON fast path must tell apart.
 

@@ -262,6 +262,19 @@ def test_a_worker_that_cannot_start_exits_2_with_one_line(monkeypatch, capsys):
     _no_child_left()
 
 
+def test_a_worker_without_a_pipe_exits_2_naming_the_worker_not_stdout(monkeypatch, capsys):
+    _pin(monkeypatch, 2)
+
+    def unavailable():
+        raise OSError(24, "Too many open files")
+
+    monkeypatch.setattr(os, "pipe", unavailable)
+    assert main(["sweep", "--subspaces", "0", "1", "--steps", "8193"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: could not start a sweep worker: [Errno 24] Too many open files\n"
+    _no_child_left()
+
+
 def test_each_process_formats_each_of_its_parts_once_and_no_observable(tmp_path, monkeypatch):
     # The sibling of test_sweep.py's number-rule test, with two processes:
     # each process logs its calls of _json_numbers to a file of its own.

@@ -6,7 +6,7 @@ import pytest
 from spinosc.metric import ExceptionalPoint, eta
 from spinosc.model import ModelParams, build_block
 from spinosc.smallmat import expm2
-from spinosc.spectral import PhaseRegion, block_spectrum, critical_coupling, discriminant
+from spinosc.spectral import PhaseRegion, block_spectrum, critical_coupling, phase
 from spinosc.sweep import SweepSpec
 from spinosc.thermo import (
     OBSERVABLE_BITS,
@@ -283,7 +283,7 @@ def test_free_energy_tracks_log_z():
 def _envelope(params, n, tau):
     # prefactor * exp(-center/tau): the size of Z's terms before cos(bt/tau)
     # can nearly cancel them in the broken region.
-    disc = discriminant(params, n)
+    disc = phase(params, n)[1]
     center = 0.5 * (2 * n + 1) * params.homega
     if disc > 0.0:
         prefactor = 2.0 * abs(params.delta) / math.sqrt(disc)
