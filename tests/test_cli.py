@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -213,6 +214,79 @@ def test_verify_checks_the_cutoff_before_any_check_runs(monkeypatch):
     monkeypatch.setattr(verify, "sigma_z_residual", first_check)
     with pytest.raises(ValueError, match=r"cutoff must be in \[2, 127\], got 128"):
         verify.run_checks(cutoff=128)
+
+
+def test_verify_fails_a_check_whose_residual_is_nan(monkeypatch):
+    # max(0.0, nan) is 0.0, so a NaN folded into the worst residual would pass.
+    monkeypatch.setattr(verify, "sigma_z_residual", lambda params, n: float("nan"))
+    check = verify.run_checks(cutoff=2)[0]
+    assert check == ("sigma-z pseudo-hermiticity (blocks)", False, "cannot evaluate the block at n = 0, mu = 0: "
+                     "the residual is nan")
+
+
+def test_verify_names_the_first_point_whose_metric_is_not_unimodular(monkeypatch):
+    def verify_metric(params, n):
+        diag = real(params, n)
+        broken = params.mu > verify.critical_coupling(params, n)
+        return diag._replace(det_error=1.0) if broken else diag
+
+    real = verify.verify_metric
+    monkeypatch.setattr(verify, "verify_metric", verify_metric)
+    check = {result.name: result for result in verify.run_checks(cutoff=2)}["metric intertwines block (unbroken)"]
+    assert not check.passed
+    assert check.detail.startswith("cannot evaluate the metric at n = 0, mu = 2.4: the closed metric is not "
+                                   "positive definite with unit determinant")
+
+
+@pytest.mark.parametrize("alpha,homega", [(1.0, 1.0), (1e-300, 1e-300)])
+def test_verify_refuses_zero_detuning(alpha, homega):
+    with pytest.raises(ValueError, match="^alpha == homega: every subspace coalesces at mu = 0"):
+        verify.run_checks(alpha, homega, cutoff=2)
+
+
+@pytest.mark.parametrize(
+    "alpha,homega", [(5.0, 1e154), (5.0, 1e200), (5.0, 1e308), (-1.7e308, 1.7e308), (1.3e154, 1.0)]
+)
+def test_verify_refuses_a_discriminant_that_overflows_on_its_grid(alpha, homega):
+    # Refused before the first check, so no check meets an overflowing block (warnings are errors here).
+    with pytest.raises(ValueError, match="^the discriminant of subspace 0 overflows"):
+        verify.run_checks(alpha, homega, cutoff=4)
+
+
+@pytest.mark.parametrize(
+    "args,name,detail",
+    [
+        (("--alpha", "5e153", "verify", "--cutoff", "4"), "full-space symmetries (grading, sigma-z, parity, no PT)",
+         "cannot evaluate the full space at mu = 1: overflow encountered in dot"),
+        # mu_c + 1 rounds to mu_c, and the bracket's top end lands below the root.
+        (("--alpha", "3e16", "verify", "--cutoff", "4"), "coalescence location (bisection vs closed)",
+         "cannot evaluate the bisection at n = 1: discriminant has the same sign at both ends of "
+         "(0.0, 1.0606601717798212e+16)"),
+        (("--alpha", "5e-310", "--homega", "1e-310", "verify"), "metric routes agree (eigenvectors vs closed)",
+         "cannot evaluate the metric at n = 0, mu = 4e-311: metric is singular at mu = 4e-311 "
+         "(coalescence for subspace n = 0)"),
+    ],
+)
+def test_verify_fails_the_first_point_an_oracle_cannot_evaluate(args, name, detail):
+    result = run_cli(*args)
+    assert (result.returncode, result.stderr) == (4, "")
+    assert f"FAIL {name}: {detail}" in result.stdout.splitlines()
+
+
+def test_verify_contract_over_extreme_parameters():
+    # The inputs above, then seeded pairs over +-1e-300 .. 1e308.  Each
+    # child gives a verdict or one error line, never a traceback or warning.
+    pairs = [(5e153, 1.0), (5.0, 1e154), (5.0, 1e200), (5.0, 1e308), (-1.7e308, 1.7e308), (1.3e154, 1.0),
+             (3e16, 1.0), (5e-310, 1e-310), (1.0, 1.0), (1e-300, 1e-300)]
+    rng = random.Random(18)
+    pairs += [(rng.choice((-1, 1)) * 10 ** rng.uniform(-300, 308), 10 ** rng.uniform(-300, 308)) for _ in range(2)]
+    for alpha, homega in pairs:
+        result = run_cli(f"--alpha={alpha!r}", f"--homega={homega!r}", "verify", "--cutoff", "2")
+        assert result.returncode in (0, 2, 4), (alpha, homega, result.stderr)
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        if result.stderr:
+            assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+            assert result.stdout == ""
 
 
 @pytest.mark.parametrize("tau", ["1e-160", "1e-320"])
