@@ -14,7 +14,6 @@ import os
 import re
 import sys
 
-from .metric import ExceptionalPoint
 from .model import ModelParams
 from .spectral import PhaseRegion, block_spectrum, critical_coupling
 from .sweep import SweepSpec, emit
@@ -185,7 +184,7 @@ def main(argv=None) -> int:
         # Point stdout at devnull so the flush at exit raises nothing.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (ValueError, ExceptionalPoint, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # Failures on files and workers are named where they occur; an OS errno left here is standard output's.
         if isinstance(exc, OSError) and exc.errno is not None:
             exc = f"could not write to standard output: {exc}"

@@ -14,17 +14,25 @@ and differentiating ln Z in tau:
   C_v        = (b/tau)^2 sech^2(b/tau)   >= 0
   C_v(broken)= -(bt/tau)^2 sec^2(bt/tau) <= 0
 
-One kernel, closed_forms, evaluates these over a coupling grid of one
-subspace with one math-module loop: each row gets a code (its region and
-which observables are defined), and the defined values of all rows go, in
-row order, into one list of floats that its callers use as it is.
+One kernel, closed_forms, evaluates these over a sequence of couplings of
+one subspace: each row gets a code (its region and which observables are
+defined), and the defined values of all rows go, in row order, into one
+list of floats that its callers use as it is.  Along a nondecreasing
+stretch of couplings the discriminant falls, so the unbroken rows, the rows
+phase_rule tags Exceptional and the broken rows are three runs in that
+order, and the rows within ep_window of mu_c are one more.  The kernel
+splits the sequence into its maximal nondecreasing stretches (a sweep part
+is one, an unsorted list several), finds each stretch's runs by bisection,
+and evaluates each run in one loop with no per-row phase test.  x = b/tau
+is monotone along a run, so the rows where cosh(x) overflows, where x
+passes 350 and where the broken x is infinite are found by bisection too.
 thermo_point runs it on a one-point grid, and the scalar accessors and
 finite_diff_check read their values through thermo_point; emit and
 run_sweep run it once per unit of a sweep (one subspace times one part of
-its grid).  The row-by-row reference version of the same formulas lives in
-the tests.  The matrix trace itself (partition_function) is the oracle the
-closed forms are validated against in the verification suite and the
-tests; it, and only it, imports numpy.
+its grid).  The row-by-row loop it replaced lives in the tests as the
+reference for its codes and bits.  The matrix trace itself
+(partition_function) is the oracle the closed forms are validated against
+in the verification suite and the tests; it, and only it, imports numpy.
 finite_diff_check differentiates the matrix-route ln Z numerically and
 compares it with d lnZ/d tau = U/tau^2 and d2 lnZ/d tau2 derived from the
 kernel's F, S and C_v, so that oracle checks the production S and C_v.
@@ -41,6 +49,7 @@ the coalescence point itself: observables are undefined and accessors raise.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable
 from typing import NamedTuple
 
@@ -145,83 +154,155 @@ def row_kind(code: int) -> tuple[PhaseRegion, list[bool]]:
     return REGIONS[code >> 4], [bool(code & bit) for bit in OBSERVABLE_BITS]
 
 
+def _stretches(mu: list) -> list[tuple[int, int]]:
+    """(start, stop) of each maximal nondecreasing stretch of mu, in order.
+
+    A NaN coupling is a stretch of its own: it is neither above nor below
+    its neighbours.
+    """
+    total = sum(mu)  # NaN where a coupling is NaN, which sorted() would leave anywhere
+    if total == total and mu == sorted(mu):
+        return [(0, len(mu))] if mu else []
+    starts = [0, *(i for i in range(1, len(mu)) if not mu[i - 1] <= mu[i])]
+    return list(zip(starts, [*starts[1:], len(mu)]))
+
+
+def _put_defined(values: list[float], region: int, observables: tuple[float, float, float, float]) -> int:
+    """The code of a row one of whose values is out of range; its defined values go to values.
+
+    Z == 0 is an underflow: the closed form never vanishes.
+    """
+    code = region
+    for bit, value in zip(OBSERVABLE_BITS, observables):
+        if -math.inf < value < math.inf and (value or bit != 8):
+            code |= bit
+            values.append(value)
+    return code
+
+
+def _unbroken_rows(mu, delta_sq, quad, tau, damping, two_delta, keep, codes, values) -> None:
+    """Codes and values of unbroken rows at whose x = D/2tau cosh stays in double range.
+
+    C_v is set to 0 past x = 350, where its exact value is below 5e-299 (not
+    an underflow): keep is 0.0 where every row is past it, 1.0 where none is.
+    """
+    sqrt, cosh, tanh, log, inf, nan = math.sqrt, math.cosh, math.tanh, math.log, math.inf, math.nan
+    end_row, put, neg_tau = codes.append, values.extend, -tau
+    for m in mu:
+        # At mu == 0 disc is exactly delta**2, whose sqrt is |delta| for
+        # every delta with a normal square: the Hermitian limit comes out exact.
+        d = sqrt(delta_sq - (m * m) * quad)
+        x = 0.5 * d / tau
+        prefactor = two_delta / d
+        c = cosh(x)
+        cv = x * x / (c * c) * keep
+        z = prefactor * damping * c
+        if z > 0.0:  # an infinite Z makes F infinite, which the range test below catches
+            f = neg_tau * log(z)
+            s = log(prefactor) + log(c) - x * tanh(x)
+            if -inf < f + s + cv < inf:
+                put((z, f, s, cv))
+                end_row(15)
+                continue
+        end_row(_put_defined(values, 0, (z, f, s, cv) if 0.0 < z < inf else (z, nan, nan, cv)))
+
+
+def _broken_rows(mu, delta_sq, quad, tau, damping, four_root, codes, values) -> None:
+    """Codes and values of broken rows at whose x = Dt/2tau cos and tan are defined (x finite)."""
+    sqrt, cos, tan, log, inf, nan = math.sqrt, math.cos, math.tan, math.log, math.inf, math.nan
+    end_row, put, neg_tau = codes.append, values.extend, -tau
+    for m in mu:
+        d = sqrt((m * m) * quad - delta_sq)
+        x = 0.5 * d / tau
+        prefactor = m * four_root / d
+        c = cos(x)
+        t = tan(x)
+        cv = x * x * (-1.0 - t * t)
+        z = prefactor * damping * c
+        if z > 0.0:  # an infinite Z makes F infinite, which the range test below catches
+            f = neg_tau * log(z)
+            s = log(prefactor) + log(c) + x * t
+            if -inf < f + s + cv < inf:
+                put((z, f, s, cv))
+                end_row(31)
+                continue
+        elif -inf < z < 0.0 and -inf < cv < inf:  # no F or S where Z < 0
+            put((z, cv))
+            end_row(25)
+            continue
+        end_row(_put_defined(values, 16, (z, f, s, cv) if 0.0 < z < inf else (z, nan, nan, cv)))
+
+
 def closed_forms(
     alpha: float, homega: float, n: int, mu: Iterable[float], tau: float, window: tuple[float, float] | None = None
 ) -> ClosedForms:
     """Z, F, S and C_v of subspace n at every coupling in `mu`, at one tau.
 
     A point is Exceptional where spectral.phase_rule tags it, or within
-    window = (mu_c, ep_window) of mu_c, and has no observables.  n and tau
-    must already be validated.  Raises ValueError where the discriminant
-    leaves double range.
+    window = (mu_c, ep_window) of mu_c, and has no observables.  mu is any
+    iterable of couplings, in any order.  Each maximal nondecreasing stretch
+    of it is classified once: bisection with phase_rule's test and the
+    window finds its runs, and each run is evaluated in one loop with no
+    per-row phase test.
+    n and tau must already be validated.  Raises ValueError at a negative
+    coupling and where the discriminant leaves double range.
     """
+    mu = list(mu)
     delta = homega - alpha
     test = phase_rule(delta, n)
+    # phase_rule's discriminant delta_sq - 4.0 * (m * m) * (n + 1) is delta_sq - (m * m) * quad:
+    # scaling by 4 is exact, and so is n + 1 as a double, so both round one product.
+    delta_sq, quad = delta * delta, 4.0 * (n + 1.0)
     center = 0.5 * (2 * n + 1) * homega
     damping = math.exp(-center / tau)
     two_delta = 2.0 * abs(delta)
-    root = math.sqrt(n + 1.0)
+    four_root = 4.0 * math.sqrt(n + 1.0)
     mu_c, ep_window = window if window is not None else (0.0, -math.inf)
-    sqrt, cosh, tanh, cos, tan, log = math.sqrt, math.cosh, math.tanh, math.cos, math.tan, math.log
-    inf, nan = math.inf, math.nan
+
+    def rank(m):  # 0 Unbroken, 1 Exceptional, 2 Broken: nondecreasing in m >= 0, as disc falls
+        disc, exceptional = test(m)
+        return 1 if exceptional else 0 if disc > 0.0 else 2
+
+    def half_gap(m):  # x = sqrt(|disc|)/2tau in the loops' operations
+        return 0.5 * math.sqrt(abs(delta_sq - (m * m) * quad)) / tau
+
+    def cosh_fits(m):
+        try:
+            return math.cosh(half_gap(m)) < math.inf
+        except OverflowError:
+            return False
+
     # A code is 16 * region (0 Unbroken, 1 Broken, 2 Exceptional) + the defined bits.
     codes = bytearray()
-    end_row = codes.append
     values = []
-    put = values.extend
-    for m in mu:
-        disc, exceptional = test(m)
-        if exceptional or abs(m - mu_c) <= ep_window:
-            end_row(32)
-            continue
-        # Z = prefactor * damping * c, and S = ln prefactor + ln c + slope.
-        if disc > 0.0:
-            # At mu == 0 disc is exactly delta**2, whose sqrt is |delta| for
-            # every delta with a normal square: the Hermitian limit comes out exact.
-            d = sqrt(disc)
-            x = 0.5 * d / tau
-            prefactor = two_delta / d
-            try:
-                c = cosh(x)
-            except OverflowError:  # cosh leaves double range past x ~ 710.48
-                c = inf
-            slope = -x * tanh(x)
-            cv = 0.0 if x > 350.0 else x * x / (c * c)
-            region = 0
-        else:
-            d = sqrt(-disc)
-            prefactor = 4.0 * m * root / d
-            x = 0.5 * d / tau
-            if x == inf:  # cos and tan of it are undefined
-                end_row(16)
-                continue
-            c = cos(x)
-            t = tan(x)
-            slope = x * t
-            cv = -(x * x) * (1.0 + t * t)
-            region = 16
-        z = prefactor * damping * c
-        if 0.0 < z < inf:
-            f = -tau * log(z)
-            s = log(prefactor) + log(c) + slope
-            if -inf < f + s + cv < inf:
-                put((z, f, s, cv))
-                end_row(region | 15)
-                continue
-        elif -inf < z < 0.0 and -inf < cv < inf:  # no F or S where Z < 0
-            put((z, cv))
-            end_row(region | 9)
-            continue
-        else:
-            f = s = nan
-        # Some value is out of range.  Z == 0 is an underflow: the closed
-        # form never vanishes.
-        code = region
-        for bit, value in zip(OBSERVABLE_BITS, (z, f, s, cv)):
-            if -inf < value < inf and (value or bit != 8):
-                code |= bit
-                put((value,))
-        end_row(code)
+    for lo, hi in _stretches(mu):
+        if mu[lo] < 0.0:
+            raise ValueError(f"mu must be nonnegative, got {mu[lo]}")
+        test(mu[hi - 1])  # disc falls as mu grows: it leaves double range at the stretch's end first
+        unbroken_end = bisect_left(mu, 1, lo, hi, key=rank)
+        broken_start = bisect_left(mu, 2, unbroken_end, hi, key=rank)
+        window_start = window_end = hi
+        if ep_window >= 0.0:  # |m - mu_c| <= ep_window; a NaN mu_c or ep_window makes no window
+            window_start = bisect_left(mu, True, lo, hi, key=lambda m: m - mu_c >= -ep_window)
+            window_end = bisect_left(mu, True, window_start, hi, key=lambda m: m - mu_c > ep_window)
+        cuts = sorted({lo, unbroken_end, broken_start, window_start, window_end, hi})
+        for a, b in zip(cuts, cuts[1:]):
+            if window_start <= a < window_end or unbroken_end <= a < broken_start:
+                codes += b"\x20" * (b - a)
+            elif a < unbroken_end:
+                # x falls along an unbroken run.  On its head cosh(x) overflows:
+                # Z, F and S are out of range there, and C_v is 0.
+                fits = bisect_left(mu, True, a, b, key=cosh_fits)
+                codes += b"\x01" * (fits - a)
+                values += [0.0] * (fits - a)
+                small = bisect_left(mu, True, fits, b, key=lambda m: half_gap(m) <= 350.0)
+                _unbroken_rows(mu[fits:small], delta_sq, quad, tau, damping, two_delta, 0.0, codes, values)
+                _unbroken_rows(mu[small:b], delta_sq, quad, tau, damping, two_delta, 1.0, codes, values)
+            else:
+                # x grows along a broken run.  On its tail x is infinite, and cos and tan of it are undefined.
+                finite = bisect_left(mu, True, a, b, key=lambda m: half_gap(m) == math.inf)
+                _broken_rows(mu[a:finite], delta_sq, quad, tau, damping, four_root, codes, values)
+                codes += b"\x10" * (b - finite)
     return ClosedForms(bytes(codes), values)
 
 

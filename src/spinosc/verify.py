@@ -8,7 +8,8 @@ residual seen.
 One rule judges every check.  A check is its points and a residual
 function, evaluated point by point with numpy's overflow, invalid and
 divide-by-zero raised rather than warned.  A residual of None skips its
-point; the check passes when the worst of the others lies below its bound.
+point; the check passes when the worst of the others lies below its bound,
+and fails when it skipped every point, as it then compared nothing.
 The first point whose residual is NaN or infinite, or whose oracle raises
 an ArithmeticError or NoSignChange, fails the check with a line naming
 that point, and no later point of the check is evaluated.
@@ -49,7 +50,7 @@ def _bounded(name: str, bound: float, measure: str, what: str, points, residual)
     """
     import numpy as np
 
-    worst = 0.0
+    worst, compared = 0.0, False
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for point in points:
             try:
@@ -61,7 +62,9 @@ def _bounded(name: str, bound: float, measure: str, what: str, points, residual)
             if isinstance(value, tuple):
                 return CheckResult(name, *value)
             if value is not None:
-                worst = max(worst, value)
+                worst, compared = max(worst, value), True
+    if not compared:
+        return CheckResult(name, False, "no point was compared: the residual skipped every point")
     return CheckResult(name, worst < bound, f"{measure} {worst:.3e}")
 
 

@@ -507,3 +507,16 @@ def test_negative_numbers_in_exponent_form_read_as_values(args):
     assert (spaced.returncode, spaced.stdout, spaced.stderr) == (equals.returncode, equals.stdout, equals.stderr)
     assert spaced.returncode in (0, 2) and "Traceback" not in spaced.stderr
     assert "expected one argument" not in spaced.stderr
+
+
+def test_verify_fails_a_check_that_compared_no_point():
+    check = verify._bounded("skipped", 1.0, "max", "the point {}", [(1,), (2,)], lambda point: None)
+    assert check == ("skipped", False, "no point was compared: the residual skipped every point")
+
+
+def test_verify_fails_the_dual_route_when_every_point_of_it_is_skipped():
+    # Every coupling of this grid is Exceptional, so the closed Z of every dual-route point is None.
+    result = run_cli("--alpha", "5e-310", "--homega", "1e-310", "verify")
+    assert (result.returncode, result.stderr) == (4, "")
+    assert ("FAIL partition function dual route: no point was compared: the residual skipped every point"
+            in result.stdout.splitlines())

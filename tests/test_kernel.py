@@ -6,18 +6,33 @@ validity and which fields are undefined must match exactly.  Values may differ
 by a few ulps of rounding, amplified where S or F is a small difference of O(1)
 terms; TOL bounds that, fixed from the float64 machine epsilon on the
 max(1, |ref|) scale.
+
+`reference_closed_forms` is the per-row loop that closed_forms replaced, which
+classified and branched every row on its own.  Its arithmetic is unchanged,
+so closed_forms must give the same codes and the same value bits.
 """
 
 import math
+import random
+from array import array
 
 import mpmath
 import numpy as np
 import pytest
 
+from spinosc import thermo
 from spinosc.model import ModelParams
-from spinosc.spectral import PhaseRegion, classify, critical_coupling, phase
+from spinosc.spectral import PhaseRegion, classify, critical_coupling, phase, phase_rule
 from spinosc.sweep import SweepSpec
-from spinosc.thermo import OBSERVABLE_BITS, closed_forms, entropy, row_kind, specific_heat, thermo_point
+from spinosc.thermo import (
+    OBSERVABLE_BITS,
+    ClosedForms,
+    closed_forms,
+    entropy,
+    row_kind,
+    specific_heat,
+    thermo_point,
+)
 
 from rowview import sweep_rows
 
@@ -277,3 +292,207 @@ def test_kernel_and_classify_share_the_phase_rule(n, scale):
     mu = [mu_c * (1.0 + sign * k * 1e-13) for k in range(21) for sign in (1.0, -1.0)]
     region = [row_kind(code)[0] for code in closed_forms(alpha, homega, n, mu, tau).codes]
     assert region == [classify(ModelParams(alpha, homega, m), n) for m in mu]
+
+
+def reference_closed_forms(alpha, homega, n, mu, tau, window=None):
+    """The per-row kernel that closed_forms replaced: every row tested and branched on its own.
+
+    closed_forms must give the same codes and the same bits on every input it
+    accepts; a negative coupling, which this loop does not refuse, is left out.
+    """
+    delta = homega - alpha
+    test = phase_rule(delta, n)
+    center = 0.5 * (2 * n + 1) * homega
+    damping = math.exp(-center / tau)
+    two_delta = 2.0 * abs(delta)
+    root = math.sqrt(n + 1.0)
+    mu_c, ep_window = window if window is not None else (0.0, -math.inf)
+    inf, nan = math.inf, math.nan
+    codes = bytearray()
+    values = []
+    for m in mu:
+        disc, exceptional = test(m)
+        if exceptional or abs(m - mu_c) <= ep_window:
+            codes.append(32)
+            continue
+        if disc > 0.0:
+            d = math.sqrt(disc)
+            x = 0.5 * d / tau
+            prefactor = two_delta / d
+            try:
+                c = math.cosh(x)
+            except OverflowError:
+                c = inf
+            slope = -x * math.tanh(x)
+            cv = 0.0 if x > 350.0 else x * x / (c * c)
+            region = 0
+        else:
+            d = math.sqrt(-disc)
+            prefactor = 4.0 * m * root / d
+            x = 0.5 * d / tau
+            if x == inf:
+                codes.append(16)
+                continue
+            c = math.cos(x)
+            t = math.tan(x)
+            slope = x * t
+            cv = -(x * x) * (1.0 + t * t)
+            region = 16
+        z = prefactor * damping * c
+        if 0.0 < z < inf:
+            f = -tau * math.log(z)
+            s = math.log(prefactor) + math.log(c) + slope
+            if -inf < f + s + cv < inf:
+                values.extend((z, f, s, cv))
+                codes.append(region | 15)
+                continue
+        elif -inf < z < 0.0 and -inf < cv < inf:
+            values.extend((z, cv))
+            codes.append(region | 9)
+            continue
+        else:
+            f = s = nan
+        code = region
+        for bit, value in zip(OBSERVABLE_BITS, (z, f, s, cv)):
+            if -inf < value < inf and (value or bit != 8):
+                code |= bit
+                values.append(value)
+        codes.append(code)
+    return ClosedForms(bytes(codes), values)
+
+
+def _outcome(kernel, *args):
+    """(codes, value hex list) of a kernel call, or the type and message of what it raised."""
+    try:
+        codes, values = kernel(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return codes, [value.hex() for value in values]
+
+
+def _assert_bit_identical(alpha, homega, n, mu, tau, window=None):
+    mu = list(mu)
+    got = _outcome(closed_forms, alpha, homega, n, mu, tau, window)
+    assert got == _outcome(reference_closed_forms, alpha, homega, n, mu, tau, window)
+    return got
+
+
+def _linspace(lo, hi, steps):
+    width = (hi - lo) / (steps - 1)
+    return [lo + i * width for i in range(steps)]
+
+
+def _random_case(rng):
+    """One seeded sweep: log-uniform energies, a grid around mu_c, and a window or none."""
+    alpha = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-3, 3)
+    homega = 10 ** rng.uniform(-3, 3)
+    n = rng.choice((0, 1, 3, 10, 100, 10**4, 10**6, 2**53 - 1))
+    mu_c = critical_coupling(ModelParams(alpha, homega, 0.0), n)
+    tau = abs(homega - alpha) * 10 ** rng.uniform(-5, 4) if rng.random() < 0.9 else 10 ** rng.uniform(-323, -300)
+    lo = mu_c * rng.choice((0.0, rng.uniform(0.0, 1.0), 1.0, rng.uniform(1.0, 3.0)))
+    hi = lo + mu_c * 10 ** rng.uniform(-13, 1)
+    mu = _linspace(lo, hi, rng.randrange(2, 400))
+    if rng.random() < 0.2:
+        rng.shuffle(mu)
+    window = rng.choice((None, (mu_c, 0.0), (mu_c, 1e-6), (mu_c, mu_c * 10 ** rng.uniform(-14, 0))))
+    return alpha, homega, n, mu, tau, window
+
+
+def test_kernel_is_bit_identical_to_the_per_row_loop_on_seeded_sweeps():
+    rng = random.Random(20251019)
+    kinds = set()
+    for _ in range(300):
+        codes = _assert_bit_identical(*_random_case(rng))[0]
+        kinds |= set(codes)
+    # Each region; all defined, Z < 0 and values out of range among the rows.
+    assert {1, 15, 16, 17, 25, 31, 32} <= kinds
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        pytest.param(_linspace(0.0, 1.9, 2001), id="wholly-unbroken"),
+        pytest.param(_linspace(2.1, 40.0, 2001), id="wholly-broken"),
+        pytest.param(_linspace(0.0, 4.0, 2001), id="straddling-mu_c"),
+        pytest.param(_linspace(2.0, 4.0, 201), id="mu_min-at-mu_c"),
+        pytest.param([0.0, -0.0], id="signed-zeros"),
+        pytest.param([3.0, 0.5, 2.0, 2.0, 1.0, 4.0, 0.0, 2.0 + 1e-13], id="unsorted"),
+    ],
+)
+@pytest.mark.parametrize("window", [None, (2.0, 0.0), (2.0, 1e-6), (2.0, 0.05), (1.0, 0.3)])
+@pytest.mark.parametrize("tau", [5.0, 0.01, 5e-324, 1e-320, 1e-160, 1e300])
+def test_kernel_is_bit_identical_to_the_per_row_loop_at_edges(mu, window, tau):
+    # mu_c of n = 0 at alpha 5 is 2; a window of 0.05 is wider than the step.
+    _assert_bit_identical(5.0, 1.0, 0, mu, tau, window)
+
+
+@pytest.mark.parametrize("n", [0, 2**53 - 1])
+@pytest.mark.parametrize("alpha", [5.0, 3.0e3, -1e150, 1.000001])
+def test_kernel_is_bit_identical_where_x_passes_350_and_710(n, alpha):
+    # b = D/2 over tau crosses x = 350 (C_v set to 0) and x ~ 710.48 (cosh overflows) inside the grid.
+    delta = 1.0 - alpha
+    mu_c = critical_coupling(ModelParams(alpha, 1.0, 0.0), n)
+    for tau in (abs(delta) / 600.0, abs(delta) / 1400.0, abs(delta) / 1e6):
+        _assert_bit_identical(alpha, 1.0, n, _linspace(0.0, 3.0 * mu_c, 3001), tau, (mu_c, 1e-6 * mu_c))
+
+
+def test_kernel_crosses_x_350_and_the_cosh_overflow_inside_one_run():
+    codes = _assert_bit_identical(5.0, 1.0, 0, _linspace(0.0, 1.99, 4001), 2 / 720.0)[0]
+    assert codes[0] == 1 and 15 in codes  # cosh overflows at the head, values come back further on
+
+
+def test_kernel_keeps_c_v_at_x_exactly_350():
+    # x = 0.5 * 4 / tau is exactly 350 at mu = 0: C_v is set to 0 only past it.
+    tau = 2 / 350
+    assert 0.5 * 4.0 / tau == 350.0
+    codes, values = _assert_bit_identical(5.0, 1.0, 0, [0.0, 0.0, 1e-3], tau)
+    assert codes[0] == 15 and float.fromhex(values[3]) > 0.0
+
+
+def test_kernel_overflow_is_the_same_value_error():
+    nan_inside = _linspace(0.0, 4.0, 50)
+    nan_inside[30] = math.nan
+    for mu in ([1.0, 1e200], [1e200, 1.0], [1.0, math.inf], [math.nan], [1.0, math.nan, 2.0], nan_inside):
+        assert _assert_bit_identical(5.0, 1.0, 0, mu, 1.0)[0] is ValueError
+    with pytest.raises(ValueError, match="overflows"):
+        closed_forms(5.0, 1.0, 0, [1.0, 1e200], 1.0)
+
+
+@pytest.mark.parametrize("mu", [[-1.0], [1.0, 3.0, -0.5], [-1e-300, 0.0], [2.0, -math.inf]])
+def test_kernel_refuses_a_negative_coupling(mu):
+    # All formulas depend on mu**2, so a negative mu is refused as ModelParams refuses it.
+    with pytest.raises(ValueError, match="mu must be nonnegative"):
+        closed_forms(5.0, 1.0, 0, mu, 1.0)
+
+
+def test_kernel_takes_any_iterable_of_couplings():
+    grid = _linspace(0.0, 4.0, 41)
+    expected = closed_forms(5.0, 1.0, 3, grid, 1.0, (1.0, 1e-6))
+    for mu in (tuple(grid), array("d", grid), iter(grid)):
+        assert closed_forms(5.0, 1.0, 3, mu, 1.0, (1.0, 1e-6)) == expected
+    assert closed_forms(5.0, 1.0, 3, [], 1.0) == ClosedForms(b"", [])
+
+
+def _count_phase_tests(monkeypatch):
+    calls = []
+
+    def counted_rule(delta, n):
+        test = phase_rule(delta, n)
+
+        def counted(mu):
+            calls.append(mu)
+            return test(mu)
+
+        return counted
+
+    monkeypatch.setattr(thermo, "phase_rule", counted_rule)
+    return calls
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 1.9), (0.0, 4.0), (2.1, 40.0), (1.0, 2.0)])
+def test_kernel_classifies_a_unit_by_bisection_not_row_by_row(monkeypatch, lo, hi):
+    calls = _count_phase_tests(monkeypatch)
+    steps = 2001
+    codes = closed_forms(5.0, 1.0, 0, _linspace(lo, hi, steps), 1.0, (2.0, 1e-6)).codes
+    assert len(codes) == steps
+    assert len(calls) <= 4 * math.ceil(math.log2(steps)) + 4
