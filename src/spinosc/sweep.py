@@ -60,6 +60,9 @@ larger grid into several sweeps.
 class SweepSpec(namedtuple("SweepSpec", "alpha homega tau subspaces mu_min mu_max steps ep_window")):
     """Grid description: mu in [mu_min, mu_max] with `steps` uniform points per subspace.
 
+    Rows within ep_window of each subspace's own mu_c join the Exceptional
+    run, the fourth of the kernel's six runs in one fixed order.
+
     Stored canonical: the subspaces distinct and ascending, every energy a float (0.0 for -0.0).
     """
 
@@ -136,8 +139,7 @@ def _units(spec: SweepSpec) -> list[tuple[int, float, array]]:
 def _evaluate(spec: SweepSpec, unit: tuple[int, float, array]) -> SweepBlock:
     """One unit's block: the kernel over its part of the mu grid."""
     n, mu_c, part = unit
-    window = (mu_c, spec.ep_window)
-    return SweepBlock(n, mu_c, part, spec.tau, closed_forms(spec.alpha, spec.homega, n, part, spec.tau, window))
+    return SweepBlock(n, mu_c, part, spec.tau, closed_forms(spec.alpha, spec.homega, n, part, spec.tau, spec.ep_window))
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepBlock]:

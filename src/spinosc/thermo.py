@@ -18,14 +18,14 @@ One kernel, closed_forms, evaluates these over a sequence of couplings of
 one subspace: each row gets a code (its region and which observables are
 defined), and the defined values of all rows go, in row order, into one
 list of floats that its callers use as it is.  Along a nondecreasing
-stretch of couplings the discriminant falls, so the unbroken rows, the rows
-phase_rule tags Exceptional and the broken rows are three runs in that
-order, and the rows within ep_window of mu_c are one more.  The kernel
-splits the sequence into its maximal nondecreasing stretches (a sweep part
-is one, an unsorted list several), finds each stretch's runs by bisection,
-and evaluates each run in one loop with no per-row phase test.  x = b/tau
-is monotone along a run, so the rows where cosh(x) overflows, where x
-passes 350 and where the broken x is infinite are found by bisection too.
+stretch of couplings the discriminant falls and x = b/tau is monotone on
+either side of mu_c, so a stretch is six runs in a fixed order, any of them
+empty: unbroken rows where cosh(x) overflows, past x = 350, and the rest;
+the Exceptional rows (phase_rule's tolerance band and the ep window
+centred on the subspace's mu_c); broken rows with x finite, then infinite.
+The kernel splits the sequence into its maximal nondecreasing stretches (a
+sweep part is one, an unsorted list several), finds each stretch's runs by
+bisection, and evaluates each run in one loop with no per-row test.
 thermo_point runs it on a one-point grid, and the scalar accessors and
 finite_diff_check read their values through thermo_point; emit and
 run_sweep run it once per unit of a sweep (one subspace times one part of
@@ -56,7 +56,7 @@ from typing import NamedTuple
 from .metric import ExceptionalPoint, eta
 from .model import ModelParams, build_block, check_subspace_index
 from .smallmat import expm2
-from .spectral import PhaseRegion, phase_rule
+from .spectral import PhaseRegion, critical_coupling, phase_rule
 
 __all__ = [
     "StencilCrossesSingularity",
@@ -234,18 +234,16 @@ def _broken_rows(mu, delta_sq, quad, tau, damping, four_root, codes, values) -> 
 
 
 def closed_forms(
-    alpha: float, homega: float, n: int, mu: Iterable[float], tau: float, window: tuple[float, float] | None = None
+    alpha: float, homega: float, n: int, mu: Iterable[float], tau: float, ep_window: float | None = None
 ) -> ClosedForms:
-    """Z, F, S and C_v of subspace n at every coupling in `mu`, at one tau.
+    """Z, F, S and C_v of subspace n at every coupling in `mu`, at one tau, run by run.
 
     A point is Exceptional where spectral.phase_rule tags it, or within
-    window = (mu_c, ep_window) of mu_c, and has no observables.  mu is any
-    iterable of couplings, in any order.  Each maximal nondecreasing stretch
-    of it is classified once: bisection with phase_rule's test and the
-    window finds its runs, and each run is evaluated in one loop with no
-    per-row phase test.
-    n and tau must already be validated.  Raises ValueError at a negative
-    coupling and where the discriminant leaves double range.
+    ep_window of the subspace's spectral.critical_coupling, and has no
+    observables; with no ep_window only phase_rule decides.  mu is any
+    iterable of couplings, in any order.  n and tau must already be
+    validated.  Raises ValueError at a negative coupling and where the
+    discriminant leaves double range.
     """
     mu = list(mu)
     delta = homega - alpha
@@ -257,11 +255,13 @@ def closed_forms(
     damping = math.exp(-center / tau)
     two_delta = 2.0 * abs(delta)
     four_root = 4.0 * math.sqrt(n + 1.0)
-    mu_c, ep_window = window if window is not None else (0.0, -math.inf)
+    mu_c = 0.0 if ep_window is None else critical_coupling(ModelParams(alpha, homega, 0.0), n)
+    ep_window = -math.inf if ep_window is None else ep_window  # no row is within -inf of mu_c
 
     def rank(m):  # 0 Unbroken, 1 Exceptional, 2 Broken: nondecreasing in m >= 0, as disc falls
+        # |disc(mu_c)| is a few ulps of delta_sq, so the window and phase_rule's band are one interval.
         disc, exceptional = test(m)
-        return 1 if exceptional else 0 if disc > 0.0 else 2
+        return 1 if exceptional or abs(m - mu_c) <= ep_window else 0 if disc > 0.0 else 2
 
     def half_gap(m):  # x = sqrt(|disc|)/2tau in the loops' operations
         return 0.5 * math.sqrt(abs(delta_sq - (m * m) * quad)) / tau
@@ -281,28 +281,18 @@ def closed_forms(
         test(mu[hi - 1])  # disc falls as mu grows: it leaves double range at the stretch's end first
         unbroken_end = bisect_left(mu, 1, lo, hi, key=rank)
         broken_start = bisect_left(mu, 2, unbroken_end, hi, key=rank)
-        window_start = window_end = hi
-        if ep_window >= 0.0:  # |m - mu_c| <= ep_window; a NaN mu_c or ep_window makes no window
-            window_start = bisect_left(mu, True, lo, hi, key=lambda m: m - mu_c >= -ep_window)
-            window_end = bisect_left(mu, True, window_start, hi, key=lambda m: m - mu_c > ep_window)
-        cuts = sorted({lo, unbroken_end, broken_start, window_start, window_end, hi})
-        for a, b in zip(cuts, cuts[1:]):
-            if window_start <= a < window_end or unbroken_end <= a < broken_start:
-                codes += b"\x20" * (b - a)
-            elif a < unbroken_end:
-                # x falls along an unbroken run.  On its head cosh(x) overflows:
-                # Z, F and S are out of range there, and C_v is 0.
-                fits = bisect_left(mu, True, a, b, key=cosh_fits)
-                codes += b"\x01" * (fits - a)
-                values += [0.0] * (fits - a)
-                small = bisect_left(mu, True, fits, b, key=lambda m: half_gap(m) <= 350.0)
-                _unbroken_rows(mu[fits:small], delta_sq, quad, tau, damping, two_delta, 0.0, codes, values)
-                _unbroken_rows(mu[small:b], delta_sq, quad, tau, damping, two_delta, 1.0, codes, values)
-            else:
-                # x grows along a broken run.  On its tail x is infinite, and cos and tan of it are undefined.
-                finite = bisect_left(mu, True, a, b, key=lambda m: half_gap(m) == math.inf)
-                _broken_rows(mu[a:finite], delta_sq, quad, tau, damping, four_root, codes, values)
-                codes += b"\x10" * (b - finite)
+        if lo < unbroken_end:  # x falls along the unbroken rows
+            fits = bisect_left(mu, True, lo, unbroken_end, key=cosh_fits)
+            small = bisect_left(mu, True, fits, unbroken_end, key=lambda m: half_gap(m) <= 350.0)
+            codes += b"\x01" * (fits - lo)  # cosh(x) overflows: Z, F and S are out of range, and C_v is 0
+            values += [0.0] * (fits - lo)
+            _unbroken_rows(mu[fits:small], delta_sq, quad, tau, damping, two_delta, 0.0, codes, values)
+            _unbroken_rows(mu[small:unbroken_end], delta_sq, quad, tau, damping, two_delta, 1.0, codes, values)
+        codes += b"\x20" * (broken_start - unbroken_end)
+        if broken_start < hi:  # x grows along the broken rows
+            finite = bisect_left(mu, True, broken_start, hi, key=lambda m: half_gap(m) == math.inf)
+            _broken_rows(mu[broken_start:finite], delta_sq, quad, tau, damping, four_root, codes, values)
+            codes += b"\x10" * (hi - finite)  # cos and tan of an infinite x are undefined
     return ClosedForms(bytes(codes), values)
 
 

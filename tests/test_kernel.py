@@ -12,6 +12,7 @@ classified and branched every row on its own.  Its arithmetic is unchanged,
 so closed_forms must give the same codes and the same value bits.
 """
 
+import io
 import math
 import random
 from array import array
@@ -23,7 +24,7 @@ import pytest
 from spinosc import thermo
 from spinosc.model import ModelParams
 from spinosc.spectral import PhaseRegion, classify, critical_coupling, phase, phase_rule
-from spinosc.sweep import SweepSpec
+from spinosc.sweep import SweepSpec, emit
 from spinosc.thermo import (
     OBSERVABLE_BITS,
     ClosedForms,
@@ -34,7 +35,7 @@ from spinosc.thermo import (
     thermo_point,
 )
 
-from rowview import sweep_rows
+from rowview import cli_rows, sweep_rows
 
 TOL = 4096 * np.finfo(np.float64).eps  # 9.1e-13
 FIELDS = ("z", "free_energy", "entropy", "specific_heat")
@@ -149,15 +150,37 @@ def test_thermo_point_is_the_kernel_on_one_point():
 
 
 def test_kernel_masks_excluded_points():
-    # The window (mu_c, ep_window) = (2.5, 0) excludes the middle point only.
-    codes, values = closed_forms(5.0, 1.0, 0, [1.0, 2.5, 3.0], 1.0, (2.5, 0.0))
-    kinds = [row_kind(code) for code in codes]
-    assert kinds == [
-        (PhaseRegion.UNBROKEN, [True] * 4),
-        (PhaseRegion.EXCEPTIONAL, [False] * 4),
-        (PhaseRegion.BROKEN, [True, False, False, True]),  # Z < 0 at mu = 3, tau = 1
-    ]
-    assert len(values) == 4 + 2
+    # The window is centred on mu_c = 2 of n = 0: width 0 masks mu_c alone,
+    # width 0.5 its neighbours too, whose distance to mu_c is exactly 0.5.
+    unbroken, broken = (PhaseRegion.UNBROKEN, [True] * 4), (PhaseRegion.BROKEN, [True] * 4)
+    masked = (PhaseRegion.EXCEPTIONAL, [False] * 4)
+    negative_z = (PhaseRegion.BROKEN, [True, False, False, True])  # Z < 0 at mu = 3, tau = 1
+    mu = [1.0, 1.5, 2.0, 2.5, 3.0]
+    for ep_window, kinds, defined in [
+        (0.0, [unbroken, unbroken, masked, broken, negative_z], 4 + 4 + 4 + 2),
+        (0.5, [unbroken, masked, masked, masked, negative_z], 4 + 2),
+    ]:
+        codes, values = closed_forms(5.0, 1.0, 0, mu, 1.0, ep_window)
+        assert [row_kind(code) for code in codes] == kinds
+        assert len(values) == defined
+
+
+def test_a_window_wider_than_the_grid_masks_every_row():
+    grid = _linspace(0.0, 4.0, 41)
+    for n in (0, 3):
+        assert closed_forms(5.0, 1.0, n, grid, 1.0, 1e308) == ClosedForms(b"\x20" * 41, [])
+    buffer = io.StringIO()
+    emit(SweepSpec(5.0, 1.0, 1.0, (0, 3), 0.0, 4.0, 41, 1e308), "csv", buffer)
+    rows = [line.split(",") for line in buffer.getvalue().splitlines()[1:]]
+    assert len(rows) == 2 * 41
+    assert all(row[3] == "Exceptional" and row[5:] == ["", "", "", "", "false"] for row in rows)
+
+
+def test_the_narrowest_window_masks_only_the_row_at_mu_c():
+    # The grid's step is 0.1, so rows 10 and 20 are exactly mu_c of n = 3 and of n = 0.
+    argv = ["--alpha", "5", "--homega", "1", "sweep", "--tau", "1", "--subspaces", "0", "3"]
+    rows = cli_rows(*argv, "--mu-min", "0", "--mu-max", "4", "--steps", "41", "--ep-window", "0")
+    assert [(r.n, r.mu) for r in rows if r.region is PhaseRegion.EXCEPTIONAL] == [(0, 2.0), (3, 1.0)]
 
 
 def test_kernel_values_are_one_list_of_floats():
@@ -297,7 +320,8 @@ def test_kernel_and_classify_share_the_phase_rule(n, scale):
 def reference_closed_forms(alpha, homega, n, mu, tau, window=None):
     """The per-row kernel that closed_forms replaced: every row tested and branched on its own.
 
-    closed_forms must give the same codes and the same bits on every input it
+    closed_forms(..., ep_window) must give the same codes and the same bits as
+    this loop with window = (critical_coupling, ep_window) on every input it
     accepts; a negative coupling, which this loop does not refuse, is left out.
     """
     delta = homega - alpha
@@ -370,9 +394,10 @@ def _outcome(kernel, *args):
     return codes, [value.hex() for value in values]
 
 
-def _assert_bit_identical(alpha, homega, n, mu, tau, window=None):
+def _assert_bit_identical(alpha, homega, n, mu, tau, ep_window=None):
     mu = list(mu)
-    got = _outcome(closed_forms, alpha, homega, n, mu, tau, window)
+    got = _outcome(closed_forms, alpha, homega, n, mu, tau, ep_window)
+    window = None if ep_window is None else (critical_coupling(ModelParams(alpha, homega, 0.0), n), ep_window)
     assert got == _outcome(reference_closed_forms, alpha, homega, n, mu, tau, window)
     return got
 
@@ -383,7 +408,7 @@ def _linspace(lo, hi, steps):
 
 
 def _random_case(rng):
-    """One seeded sweep: log-uniform energies, a grid around mu_c, and a window or none."""
+    """One seeded sweep: log-uniform energies, a grid around mu_c, and an ep_window or none."""
     alpha = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-3, 3)
     homega = 10 ** rng.uniform(-3, 3)
     n = rng.choice((0, 1, 3, 10, 100, 10**4, 10**6, 2**53 - 1))
@@ -394,8 +419,8 @@ def _random_case(rng):
     mu = _linspace(lo, hi, rng.randrange(2, 400))
     if rng.random() < 0.2:
         rng.shuffle(mu)
-    window = rng.choice((None, (mu_c, 0.0), (mu_c, 1e-6), (mu_c, mu_c * 10 ** rng.uniform(-14, 0))))
-    return alpha, homega, n, mu, tau, window
+    ep_window = rng.choice((None, 0.0, 1e-6, mu_c * 10 ** rng.uniform(-14, 0)))
+    return alpha, homega, n, mu, tau, ep_window
 
 
 def test_kernel_is_bit_identical_to_the_per_row_loop_on_seeded_sweeps():
@@ -419,11 +444,14 @@ def test_kernel_is_bit_identical_to_the_per_row_loop_on_seeded_sweeps():
         pytest.param([3.0, 0.5, 2.0, 2.0, 1.0, 4.0, 0.0, 2.0 + 1e-13], id="unsorted"),
     ],
 )
-@pytest.mark.parametrize("window", [None, (2.0, 0.0), (2.0, 1e-6), (2.0, 0.05), (1.0, 0.3)])
+@pytest.mark.parametrize(
+    "ep_window", [None, 0.0, 1e-6, 0.05, 3.0], ids=["None", "window1", "window2", "window3", "window4"]
+)
 @pytest.mark.parametrize("tau", [5.0, 0.01, 5e-324, 1e-320, 1e-160, 1e300])
-def test_kernel_is_bit_identical_to_the_per_row_loop_at_edges(mu, window, tau):
-    # mu_c of n = 0 at alpha 5 is 2; a window of 0.05 is wider than the step.
-    _assert_bit_identical(5.0, 1.0, 0, mu, tau, window)
+def test_kernel_is_bit_identical_to_the_per_row_loop_at_edges(mu, ep_window, tau):
+    # mu_c of n = 0 at alpha 5 is 2; a window of 0.05 is wider than the step,
+    # and one of 3.0 covers mu = 0 and every grid but the wholly broken one.
+    _assert_bit_identical(5.0, 1.0, 0, mu, tau, ep_window)
 
 
 @pytest.mark.parametrize("n", [0, 2**53 - 1])
@@ -433,7 +461,7 @@ def test_kernel_is_bit_identical_where_x_passes_350_and_710(n, alpha):
     delta = 1.0 - alpha
     mu_c = critical_coupling(ModelParams(alpha, 1.0, 0.0), n)
     for tau in (abs(delta) / 600.0, abs(delta) / 1400.0, abs(delta) / 1e6):
-        _assert_bit_identical(alpha, 1.0, n, _linspace(0.0, 3.0 * mu_c, 3001), tau, (mu_c, 1e-6 * mu_c))
+        _assert_bit_identical(alpha, 1.0, n, _linspace(0.0, 3.0 * mu_c, 3001), tau, 1e-6 * mu_c)
 
 
 def test_kernel_crosses_x_350_and_the_cosh_overflow_inside_one_run():
@@ -467,9 +495,9 @@ def test_kernel_refuses_a_negative_coupling(mu):
 
 def test_kernel_takes_any_iterable_of_couplings():
     grid = _linspace(0.0, 4.0, 41)
-    expected = closed_forms(5.0, 1.0, 3, grid, 1.0, (1.0, 1e-6))
+    expected = closed_forms(5.0, 1.0, 3, grid, 1.0, 1e-6)
     for mu in (tuple(grid), array("d", grid), iter(grid)):
-        assert closed_forms(5.0, 1.0, 3, mu, 1.0, (1.0, 1e-6)) == expected
+        assert closed_forms(5.0, 1.0, 3, mu, 1.0, 1e-6) == expected
     assert closed_forms(5.0, 1.0, 3, [], 1.0) == ClosedForms(b"", [])
 
 
@@ -493,6 +521,25 @@ def _count_phase_tests(monkeypatch):
 def test_kernel_classifies_a_unit_by_bisection_not_row_by_row(monkeypatch, lo, hi):
     calls = _count_phase_tests(monkeypatch)
     steps = 2001
-    codes = closed_forms(5.0, 1.0, 0, _linspace(lo, hi, steps), 1.0, (2.0, 1e-6)).codes
+    codes = closed_forms(5.0, 1.0, 0, _linspace(lo, hi, steps), 1.0, 1e-6).codes
     assert len(codes) == steps
     assert len(calls) <= 4 * math.ceil(math.log2(steps)) + 4
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0, 2.0, 3.0])
+def test_thermo_point_makes_at_most_three_phase_tests(monkeypatch, mu):
+    calls = _count_phase_tests(monkeypatch)
+    thermo_point(ModelParams(5.0, 1.0, mu), 0, 1.0)
+    assert 1 <= len(calls) <= 3
+
+
+def test_mu_c_is_inside_the_phase_rule_band():
+    # closed_forms' run key is monotone because the window around mu_c and
+    # phase_rule's tolerance band are one interval: each contains mu_c.
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        alpha = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-150, 150)
+        params = ModelParams(alpha, 10 ** rng.uniform(-150, 150), 0.0)
+        n = rng.choice((0, 1, 3, 10, 100, 10**4, 10**6, 2**53 - 1))
+        mu_c = critical_coupling(params, n)
+        assert classify(params._replace(mu=mu_c), n) is PhaseRegion.EXCEPTIONAL, (params, n)
