@@ -1,4 +1,4 @@
-"""Closed-form block spectra, phase classification, and exceptional-point location.
+"""Closed-form block spectra, phase classification, and the critical coupling of each subspace.
 
 phase_rule is the one home of the phase rule.  It forms the discriminant
 delta**2 - 4*mu**2*(n+1) in real arithmetic before any square root, so the
@@ -18,13 +18,11 @@ from .smallmat import ep_tolerance
 __all__ = [
     "PhaseRegion",
     "Spectrum2",
-    "NoSignChange",
     "phase_rule",
     "phase",
     "classify",
     "block_spectrum",
     "critical_coupling",
-    "locate_ep_numeric",
 ]
 
 
@@ -32,10 +30,6 @@ class PhaseRegion(Enum):
     UNBROKEN = "Unbroken"
     BROKEN = "Broken"
     EXCEPTIONAL = "Exceptional"
-
-
-class NoSignChange(ValueError):
-    """Bisection bracket does not straddle a discriminant sign change."""
 
 
 class Spectrum2(NamedTuple):
@@ -107,41 +101,3 @@ def critical_coupling(params: ModelParams, n: int) -> float:
     n = check_subspace_index(n)
     return abs(params.delta) / (2.0 * math.sqrt(n + 1.0))
 
-
-def locate_ep_numeric(alpha: float, homega: float, n: int, bracket: tuple[float, float]) -> float:
-    """Bisection on the discriminant sign over a mu bracket.
-
-    Independent of critical_coupling and phase_rule: only evaluates
-    delta**2 - 4*mu**2*(n+1) and halves the bracket until it is narrower than
-    1e-12 or its ends are adjacent doubles.
-    """
-    n = check_subspace_index(n)
-    delta = ModelParams(alpha, homega, 0.0).delta
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise ValueError(f"invalid bracket {bracket!r}")
-    delta_sq = delta * delta
-
-    def f(mu: float) -> float:
-        return delta_sq - 4.0 * mu * mu * (n + 1)
-
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise NoSignChange(f"discriminant has the same sign at both ends of {bracket!r}")
-
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break  # the ends are adjacent doubles
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

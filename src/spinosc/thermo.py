@@ -17,15 +17,14 @@ and differentiating ln Z in tau:
 One kernel, closed_forms, evaluates these over a sequence of couplings of
 one subspace: each row gets a code (its region and which observables are
 defined), and the defined values of all rows go, in row order, into one
-list of floats that its callers use as it is.  Along a nondecreasing
-stretch of couplings the discriminant falls and x = b/tau is monotone on
-either side of mu_c, so a stretch is six runs in a fixed order, any of them
-empty: unbroken rows where cosh(x) overflows, past x = 350, and the rest;
-the Exceptional rows (phase_rule's tolerance band and the ep window
-centred on the subspace's mu_c); broken rows with x finite, then infinite.
-The kernel splits the sequence into its maximal nondecreasing stretches (a
-sweep part is one, an unsorted list several), finds each stretch's runs by
-bisection, and evaluates each run in one loop with no per-row test.
+list of floats that its callers use as it is.  The couplings must be
+nondecreasing (a sweep part and a one-point grid are).  Along them the
+discriminant falls and x = b/tau is monotone on either side of mu_c, so the
+grid is six runs in a fixed order, any of them empty: unbroken rows where
+cosh(x) overflows, past x = 350, and the rest; the Exceptional rows
+(phase_rule's tolerance band and the ep window centred on the subspace's
+mu_c); broken rows with x finite, then infinite.  The kernel finds the runs
+by bisection and evaluates each run in one loop with no per-row test.
 thermo_point runs it on a one-point grid, and the scalar accessors and
 finite_diff_check read their values through thermo_point; emit and
 run_sweep run it once per unit of a sweep (one subspace times one part of
@@ -154,19 +153,6 @@ def row_kind(code: int) -> tuple[PhaseRegion, list[bool]]:
     return REGIONS[code >> 4], [bool(code & bit) for bit in OBSERVABLE_BITS]
 
 
-def _stretches(mu: list) -> list[tuple[int, int]]:
-    """(start, stop) of each maximal nondecreasing stretch of mu, in order.
-
-    A NaN coupling is a stretch of its own: it is neither above nor below
-    its neighbours.
-    """
-    total = sum(mu)  # NaN where a coupling is NaN, which sorted() would leave anywhere
-    if total == total and mu == sorted(mu):
-        return [(0, len(mu))] if mu else []
-    starts = [0, *(i for i in range(1, len(mu)) if not mu[i - 1] <= mu[i])]
-    return list(zip(starts, [*starts[1:], len(mu)]))
-
-
 def _put_defined(values: list[float], region: int, observables: tuple[float, float, float, float]) -> int:
     """The code of a row one of whose values is out of range; its defined values go to values.
 
@@ -241,13 +227,21 @@ def closed_forms(
     A point is Exceptional where spectral.phase_rule tags it, or within
     ep_window of the subspace's spectral.critical_coupling, and has no
     observables; with no ep_window only phase_rule decides.  mu is any
-    iterable of couplings, in any order.  n and tau must already be
-    validated.  Raises ValueError at a negative coupling and where the
-    discriminant leaves double range.
+    iterable of nonnegative couplings in nondecreasing order.  n and tau
+    must already be validated.  Raises ValueError at an unsorted grid, a NaN
+    or a negative coupling, and where the discriminant leaves double range.
     """
     mu = list(mu)
+    total = sum(mu)  # NaN where a coupling is NaN, which sorted() would leave anywhere
+    if not (total == total and mu == sorted(mu)):
+        raise ValueError("mu must be a nondecreasing grid of couplings with no NaN")
+    if not mu:
+        return ClosedForms(b"", [])
+    if mu[0] < 0.0:
+        raise ValueError(f"mu must be nonnegative, got {mu[0]}")
     delta = homega - alpha
     test = phase_rule(delta, n)
+    test(mu[-1])  # disc falls as mu grows: it leaves double range at the grid's end first
     # phase_rule's discriminant delta_sq - 4.0 * (m * m) * (n + 1) is delta_sq - (m * m) * quad:
     # scaling by 4 is exact, and so is n + 1 as a double, so both round one product.
     delta_sq, quad = delta * delta, 4.0 * (n + 1.0)
@@ -275,24 +269,20 @@ def closed_forms(
     # A code is 16 * region (0 Unbroken, 1 Broken, 2 Exceptional) + the defined bits.
     codes = bytearray()
     values = []
-    for lo, hi in _stretches(mu):
-        if mu[lo] < 0.0:
-            raise ValueError(f"mu must be nonnegative, got {mu[lo]}")
-        test(mu[hi - 1])  # disc falls as mu grows: it leaves double range at the stretch's end first
-        unbroken_end = bisect_left(mu, 1, lo, hi, key=rank)
-        broken_start = bisect_left(mu, 2, unbroken_end, hi, key=rank)
-        if lo < unbroken_end:  # x falls along the unbroken rows
-            fits = bisect_left(mu, True, lo, unbroken_end, key=cosh_fits)
-            small = bisect_left(mu, True, fits, unbroken_end, key=lambda m: half_gap(m) <= 350.0)
-            codes += b"\x01" * (fits - lo)  # cosh(x) overflows: Z, F and S are out of range, and C_v is 0
-            values += [0.0] * (fits - lo)
-            _unbroken_rows(mu[fits:small], delta_sq, quad, tau, damping, two_delta, 0.0, codes, values)
-            _unbroken_rows(mu[small:unbroken_end], delta_sq, quad, tau, damping, two_delta, 1.0, codes, values)
-        codes += b"\x20" * (broken_start - unbroken_end)
-        if broken_start < hi:  # x grows along the broken rows
-            finite = bisect_left(mu, True, broken_start, hi, key=lambda m: half_gap(m) == math.inf)
-            _broken_rows(mu[broken_start:finite], delta_sq, quad, tau, damping, four_root, codes, values)
-            codes += b"\x10" * (hi - finite)  # cos and tan of an infinite x are undefined
+    unbroken_end = bisect_left(mu, 1, key=rank)
+    broken_start = bisect_left(mu, 2, unbroken_end, key=rank)
+    if unbroken_end:  # x falls along the unbroken rows
+        fits = bisect_left(mu, True, 0, unbroken_end, key=cosh_fits)
+        small = bisect_left(mu, True, fits, unbroken_end, key=lambda m: half_gap(m) <= 350.0)
+        codes += b"\x01" * fits  # cosh(x) overflows: Z, F and S are out of range, and C_v is 0
+        values += [0.0] * fits
+        _unbroken_rows(mu[fits:small], delta_sq, quad, tau, damping, two_delta, 0.0, codes, values)
+        _unbroken_rows(mu[small:unbroken_end], delta_sq, quad, tau, damping, two_delta, 1.0, codes, values)
+    codes += b"\x20" * (broken_start - unbroken_end)
+    if broken_start < len(mu):  # x grows along the broken rows
+        finite = bisect_left(mu, True, broken_start, key=lambda m: half_gap(m) == math.inf)
+        _broken_rows(mu[broken_start:finite], delta_sq, quad, tau, damping, four_root, codes, values)
+        codes += b"\x10" * (len(mu) - finite)  # cos and tan of an infinite x are undefined
     return ClosedForms(bytes(codes), values)
 
 

@@ -11,8 +11,8 @@ divide-by-zero raised rather than warned.  A residual of None skips its
 point; the check passes when the worst of the others lies below its bound,
 and fails when it skipped every point, as it then compared nothing.
 The first point whose residual is NaN or infinite, or whose oracle raises
-an ArithmeticError or NoSignChange, fails the check with a line naming
-that point, and no later point of the check is evaluated.
+an ArithmeticError, fails the check with a line naming that point, and no
+later point of the check is evaluated.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .fullspace import block_decomposition_check, symmetry_report
 from .metric import eta, eta_from_vectors, verify_metric
 from .model import ModelParams, build_block, sigma_z_residual
 from .smallmat import EIGN_DIM_CAP
-from .spectral import NoSignChange, critical_coupling, locate_ep_numeric, phase_rule
+from .spectral import critical_coupling, phase_rule
 from .thermo import finite_diff_check, partition_function, thermo_point
 
 __all__ = ["CheckResult", "run_checks"]
@@ -42,6 +42,27 @@ _MU_FRACTIONS = (0.2, 0.5, 0.8, 1.2, 1.5, 2.0)
 _MAX_CUTOFF = (EIGN_DIM_CAP - 1) // 2
 
 
+def _ulps_from_root(delta: float, n: int, mu_c: float) -> int:
+    """The least k <= 2 such that the discriminant is >= 0 k ulps below mu_c and <= 0 k ulps above; 3 if none.
+
+    The discriminant delta**2 - 4*mu**2*(n+1) is taken in exact rationals at
+    the doubles as given, so it shares no rounding with phase_rule.  It
+    depends on mu**2 alone, so its sign cannot tell mu_c from -mu_c: a
+    negative (or NaN) mu_c gets 3.
+    """
+    if not mu_c >= 0.0:
+        return 3
+    from fractions import Fraction  # loads decimal: only verify pays for it
+
+    delta_sq, levels = Fraction(delta) ** 2, 4 * (n + 1)
+    below = above = mu_c
+    for k in range(3):
+        if delta_sq - levels * Fraction(below) ** 2 >= 0 >= delta_sq - levels * Fraction(above) ** 2:
+            return k
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+    return 3
+
+
 def _bounded(name: str, bound: float, measure: str, what: str, points, residual) -> CheckResult:
     """Judge one check by the module's rule: residual(*point) at each point in order.
 
@@ -57,7 +78,7 @@ def _bounded(name: str, bound: float, measure: str, what: str, points, residual)
                 value = residual(*point)
                 if isinstance(value, float) and not math.isfinite(value):
                     raise FloatingPointError(f"the residual is {value}")
-            except (ArithmeticError, NoSignChange) as exc:
+            except ArithmeticError as exc:
                 return CheckResult(name, False, f"cannot evaluate {what.format(*point)}: {exc}")
             if isinstance(value, tuple):
                 return CheckResult(name, *value)
@@ -125,9 +146,8 @@ def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list
     checks = [
         ("sigma-z pseudo-hermiticity (blocks)", 1e-12, "max residual", "the block at n = {}, mu = {:.12g}",
          [(n, mu) for n in subspaces for mu in (0.0, 0.5, 1.0, 2.0, 3.0)], sigma_z),
-        ("coalescence location (bisection vs closed)", 1e-10, "max |diff|", "the bisection at n = {}",
-         [(n,) for n in subspaces],
-         lambda n: abs(locate_ep_numeric(alpha, homega, n, (0.0, mu_c[n] + 1.0)) - mu_c[n])),
+        ("coalescence location (exact discriminant sign vs closed)", 3.0, "max ulps", "the discriminant at n = {}",
+         [(n,) for n in subspaces], lambda n: _ulps_from_root(params.delta, n, mu_c[n])),
         ("metric routes agree (eigenvectors vs closed)", 1e-10, "max |diff|", "the metric at n = {}, mu = {:.12g}",
          grid, metric_routes),
         ("metric intertwines block (unbroken)", 1e-10, "max relative residual", "the metric at n = {}, mu = {:.12g}",

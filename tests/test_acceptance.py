@@ -19,12 +19,7 @@ from spinosc.fullspace import block_decomposition_check, symmetry_report
 from spinosc.metric import eta, eta_from_vectors, verify_metric
 from spinosc.model import ModelParams, build_block
 from spinosc.smallmat import expm2
-from spinosc.spectral import (
-    PhaseRegion,
-    block_spectrum,
-    critical_coupling,
-    locate_ep_numeric,
-)
+from spinosc.spectral import PhaseRegion, block_spectrum, critical_coupling
 from spinosc.thermo import (
     entropy,
     finite_diff_check,
@@ -32,6 +27,7 @@ from spinosc.thermo import (
     specific_heat,
     thermo_point,
 )
+from spinosc.verify import _ulps_from_root
 
 from rowview import cli_rows
 
@@ -63,16 +59,15 @@ def test_criterion_1_ep_locations():
         5: 0.81649658092772603,
     }
     worst_closed = 0.0
-    worst_numeric = 0.0
+    worst_ulps = 0
     for n, target in expected.items():
         worst_closed = max(worst_closed, abs(_mu_c(n) - target))
-        located = locate_ep_numeric(ALPHA, HOMEGA, n, (0.0, 5.0))
-        worst_numeric = max(worst_numeric, abs(located - _mu_c(n)))
-    ok = worst_closed < 1e-12 and worst_numeric < 1e-10
+        worst_ulps = max(worst_ulps, _ulps_from_root(_params(0.0).delta, n, _mu_c(n)))
+    ok = worst_closed < 1e-12 and worst_ulps <= 2
     _report(
         "criterion-1 ep-locations",
         ok,
-        f"closed-form err {worst_closed:.2e}, bisection err {worst_numeric:.2e}",
+        f"closed-form err {worst_closed:.2e}, exact root within {worst_ulps} ulps",
     )
 
 

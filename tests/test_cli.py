@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import random
 import signal
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from spinosc import verify
+from spinosc.spectral import critical_coupling
 
 
 def run_cli(*args, python_flags=()):
@@ -172,7 +174,7 @@ def test_verify_fails_a_stencil_it_cannot_evaluate():
     [
         ("5000", {"log-derivative finite differences": "cannot evaluate the stencil at n = 0, mu = 1249.75, tau = 1: "
                   "exp(-1.000100010001 * m) leaves double range"}),
-        ("1e10", {"coalescence location (bisection vs closed)": None, "partition function dual route": None,
+        ("1e10", {"partition function dual route": None,
                   "log-derivative finite differences": "cannot evaluate the stencil at n = 0, mu = 2499999999.75, "
                   "tau = 1: exp(-1.000100010001 * m) leaves double range",
                   "truncated spectrum matches block union": None}),
@@ -258,10 +260,6 @@ def test_verify_refuses_a_discriminant_that_overflows_on_its_grid(alpha, homega)
     [
         (("--alpha", "5e153", "verify", "--cutoff", "4"), "full-space symmetries (grading, sigma-z, parity, no PT)",
          "cannot evaluate the full space at mu = 1: overflow encountered in dot"),
-        # mu_c + 1 rounds to mu_c, and the bracket's top end lands below the root.
-        (("--alpha", "3e16", "verify", "--cutoff", "4"), "coalescence location (bisection vs closed)",
-         "cannot evaluate the bisection at n = 1: discriminant has the same sign at both ends of "
-         "(0.0, 1.0606601717798212e+16)"),
         (("--alpha", "5e-310", "--homega", "1e-310", "verify"), "metric routes agree (eigenvectors vs closed)",
          "cannot evaluate the metric at n = 0, mu = 4e-311: metric is singular at mu = 4e-311 "
          "(coalescence for subspace n = 0)"),
@@ -271,6 +269,33 @@ def test_verify_fails_the_first_point_an_oracle_cannot_evaluate(args, name, deta
     result = run_cli(*args)
     assert (result.returncode, result.stderr) == (4, "")
     assert f"FAIL {name}: {detail}" in result.stdout.splitlines()
+
+
+@pytest.mark.parametrize("args", [("--alpha", "3e16"), ("--alpha", "5e-310", "--homega", "1e-310")])
+def test_verify_locates_the_coalescence_at_extreme_scales(args):
+    # mu_c is ~1e16 at 3e16, where doubles are 2 apart, and subnormal at
+    # 5e-310.  The exact discriminant places it within 2 ulps at both.
+    result = run_cli(*args, "verify", "--cutoff", "4")
+    assert result.stderr == ""
+    lines = [line for line in result.stdout.splitlines() if "coalescence location" in line]
+    assert len(lines) == 1 and lines[0].startswith("PASS coalescence location (exact discriminant sign vs closed): ")
+
+
+def test_verify_fails_a_misplaced_critical_coupling(monkeypatch):
+    def three_ulps_high(params, n):
+        mu_c = critical_coupling(params, n)
+        for _ in range(3):
+            mu_c = math.nextafter(mu_c, math.inf)
+        return mu_c
+
+    for mutant in (
+        lambda params, n: abs(params.delta) / (2.0 * math.sqrt(n + 2.0)),
+        lambda params, n: abs(params.delta) / math.sqrt(n + 1.0),
+        three_ulps_high,
+    ):
+        monkeypatch.setattr(verify, "critical_coupling", mutant)
+        check = verify.run_checks(cutoff=2)[1]
+        assert check == ("coalescence location (exact discriminant sign vs closed)", False, "max ulps 3.000e+00")
 
 
 def test_verify_contract_over_extreme_parameters():
@@ -409,6 +434,9 @@ def test_ctrl_c_exits_130_quietly_after_reaping_the_workers():
         [sys.executable, "-m", "spinosc", "sweep", "--subspaces", "0", "1", "--steps", "500000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        # A child that inherits SIGINT ignored (a test run started as a background
+        # job) installs no KeyboardInterrupt handler and would drop the Ctrl-C.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     assert proc.stdout.readline() == b"n,mu,tau,region,mu_c,Z,F,S,Cv,valid\n"
     assert proc.stdout.readline().startswith(b"0,0,5,Unbroken,")  # the workers are forked before any row

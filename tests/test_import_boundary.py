@@ -3,6 +3,7 @@
 Nor do they load dataclasses or inspect, which cost every CLI child ~9 ms to import: records are NamedTuples.
 Nor multiprocessing, concurrent or threading: a large sweep forks its workers with os.fork alone.
 Nor pathlib, which loads urllib.parse and ipaddress too: emit opens a path with open() and names it with os.fspath.
+Nor fractions, which loads decimal (~3 ms): verify's exact-root oracle imports it only when it runs.
 """
 
 import json
@@ -16,7 +17,9 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # The modules a production command must not load.
-HEAVY = ("numpy", "dataclasses", "inspect", "multiprocessing", "concurrent", "threading", "pathlib")
+HEAVY = (
+    "numpy", "dataclasses", "inspect", "multiprocessing", "concurrent", "threading", "pathlib", "fractions", "decimal"
+)
 
 # Runs `python -m spinosc *argv` in this interpreter, output discarded, then
 # prints its exit code and which of HEAVY were imported.

@@ -312,7 +312,7 @@ def test_kernel_and_classify_share_the_phase_rule(n, scale):
     # every scale of the inputs.
     alpha, homega, tau = 5.0 * scale, 1.0 * scale, 1.3 * scale
     mu_c = critical_coupling(ModelParams(alpha, homega, 0.0), n)
-    mu = [mu_c * (1.0 + sign * k * 1e-13) for k in range(21) for sign in (1.0, -1.0)]
+    mu = sorted(mu_c * (1.0 + sign * k * 1e-13) for k in range(21) for sign in (1.0, -1.0))
     region = [row_kind(code)[0] for code in closed_forms(alpha, homega, n, mu, tau).codes]
     assert region == [classify(ModelParams(alpha, homega, m), n) for m in mu]
 
@@ -321,8 +321,9 @@ def reference_closed_forms(alpha, homega, n, mu, tau, window=None):
     """The per-row kernel that closed_forms replaced: every row tested and branched on its own.
 
     closed_forms(..., ep_window) must give the same codes and the same bits as
-    this loop with window = (critical_coupling, ep_window) on every input it
-    accepts; a negative coupling, which this loop does not refuse, is left out.
+    this loop with window = (critical_coupling, ep_window) on every grid it
+    accepts; an unsorted grid, a NaN or a negative coupling, which this loop
+    does not refuse, is left out.
     """
     delta = homega - alpha
     test = phase_rule(delta, n)
@@ -402,6 +403,14 @@ def _assert_bit_identical(alpha, homega, n, mu, tau, ep_window=None):
     return got
 
 
+UNSORTED = "mu must be a nondecreasing grid of couplings with no NaN"
+
+
+def _assert_refused(alpha, homega, n, mu, tau, ep_window=None):
+    with pytest.raises(ValueError, match=f"^{UNSORTED}$"):
+        closed_forms(alpha, homega, n, mu, tau, ep_window)
+
+
 def _linspace(lo, hi, steps):
     width = (hi - lo) / (steps - 1)
     return [lo + i * width for i in range(steps)]
@@ -425,10 +434,16 @@ def _random_case(rng):
 
 def test_kernel_is_bit_identical_to_the_per_row_loop_on_seeded_sweeps():
     rng = random.Random(20251019)
-    kinds = set()
+    kinds, refused = set(), 0
     for _ in range(300):
-        codes = _assert_bit_identical(*_random_case(rng))[0]
+        alpha, homega, n, mu, tau, ep_window = _random_case(rng)
+        if mu != sorted(mu):  # a fifth of the grids come shuffled: refused, then run sorted
+            _assert_refused(alpha, homega, n, mu, tau, ep_window)
+            mu.sort()
+            refused += 1
+        codes = _assert_bit_identical(alpha, homega, n, mu, tau, ep_window)[0]
         kinds |= set(codes)
+    assert refused > 30
     # Each region; all defined, Z < 0 and values out of range among the rows.
     assert {1, 15, 16, 17, 25, 31, 32} <= kinds
 
@@ -451,7 +466,10 @@ def test_kernel_is_bit_identical_to_the_per_row_loop_on_seeded_sweeps():
 def test_kernel_is_bit_identical_to_the_per_row_loop_at_edges(mu, ep_window, tau):
     # mu_c of n = 0 at alpha 5 is 2; a window of 0.05 is wider than the step,
     # and one of 3.0 covers mu = 0 and every grid but the wholly broken one.
-    _assert_bit_identical(5.0, 1.0, 0, mu, tau, ep_window)
+    if mu == sorted(mu):
+        _assert_bit_identical(5.0, 1.0, 0, mu, tau, ep_window)
+    else:
+        _assert_refused(5.0, 1.0, 0, mu, tau, ep_window)
 
 
 @pytest.mark.parametrize("n", [0, 2**53 - 1])
@@ -478,19 +496,26 @@ def test_kernel_keeps_c_v_at_x_exactly_350():
 
 
 def test_kernel_overflow_is_the_same_value_error():
-    nan_inside = _linspace(0.0, 4.0, 50)
-    nan_inside[30] = math.nan
-    for mu in ([1.0, 1e200], [1e200, 1.0], [1.0, math.inf], [math.nan], [1.0, math.nan, 2.0], nan_inside):
+    for mu in ([1.0, 1e200], [1.0, math.inf], [0.5, 1.0, 1e300]):
         assert _assert_bit_identical(5.0, 1.0, 0, mu, 1.0)[0] is ValueError
     with pytest.raises(ValueError, match="overflows"):
         closed_forms(5.0, 1.0, 0, [1.0, 1e200], 1.0)
 
 
-@pytest.mark.parametrize("mu", [[-1.0], [1.0, 3.0, -0.5], [-1e-300, 0.0], [2.0, -math.inf]])
+@pytest.mark.parametrize("mu", [[-1.0], [-2.0, -1.0, 3.0], [-1e-300, 0.0], [-math.inf, 2.0]])
 def test_kernel_refuses_a_negative_coupling(mu):
     # All formulas depend on mu**2, so a negative mu is refused as ModelParams refuses it.
     with pytest.raises(ValueError, match="mu must be nonnegative"):
         closed_forms(5.0, 1.0, 0, mu, 1.0)
+
+
+def test_kernel_refuses_an_unsorted_grid_or_a_nan():
+    # Its runs are found by bisection, which holds only where mu is nondecreasing.
+    nan_inside = _linspace(0.0, 4.0, 50)
+    nan_inside[30] = math.nan
+    for mu in ([1e200, 1.0], [math.nan], [1.0, math.nan, 2.0], nan_inside, [1.0, 3.0, -0.5], [2.0, -math.inf],
+               [0.0, 2.0 + 1e-13, 2.0]):
+        _assert_refused(5.0, 1.0, 0, mu, 1.0)
 
 
 def test_kernel_takes_any_iterable_of_couplings():

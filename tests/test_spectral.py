@@ -1,21 +1,13 @@
 import math
-import subprocess
-import sys
+import random
 
 import numpy as np
 import pytest
 
 from spinosc.model import ModelParams, build_block
 from spinosc.smallmat import DefectiveMatrix, eig2
-from spinosc.spectral import (
-    NoSignChange,
-    PhaseRegion,
-    block_spectrum,
-    classify,
-    critical_coupling,
-    locate_ep_numeric,
-    phase,
-)
+from spinosc.spectral import PhaseRegion, block_spectrum, classify, critical_coupling, phase
+from spinosc.verify import _ulps_from_root
 
 FIG = dict(alpha=5.0, homega=1.0)
 
@@ -65,41 +57,22 @@ def test_critical_coupling_vanishes_at_zero_detuning():
     assert critical_coupling(ModelParams(1, 1, 0), 3) == 0.0
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
-def test_locate_ep_agrees_with_closed_form(n):
-    expected = critical_coupling(ModelParams(**FIG, mu=0), n)
-    located = locate_ep_numeric(5.0, 1.0, n, (0.0, 5.0))
-    assert abs(located - expected) < 1e-10
+def test_critical_coupling_is_within_2_ulps_of_the_exact_root():
+    # verify's oracle: the exact discriminant at the double delta changes sign,
+    # falling, within 2 ulps of mu_c on either side.
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        alpha = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-300, 300)
+        params = ModelParams(alpha, 10 ** rng.uniform(-300, 300), 0.0)
+        n = rng.choice((0, 1, 2, 5, rng.randrange(1000), 10**6, 2**53 - 1))
+        assert _ulps_from_root(params.delta, n, critical_coupling(params, n)) <= 2, (params, n)
 
 
-def test_locate_ep_stops_when_the_ends_are_adjacent_doubles():
-    # Near mu_c ~ 5e9 (alpha = 1e10) doubles are ~1e-6 apart, far wider than
-    # the 1e-12 bracket width, so only the adjacent-ends stop can end the
-    # bisection.  It runs in a child so that a hang fails here instead.
-    code = (
-        "from spinosc.model import ModelParams\n"
-        "from spinosc.spectral import critical_coupling, locate_ep_numeric\n"
-        "for n in range(6):\n"
-        "    mu_c = critical_coupling(ModelParams(1e10, 1.0, 0.0), n)\n"
-        "    print(repr(mu_c), repr(locate_ep_numeric(1e10, 1.0, n, (0.0, mu_c + 1.0))))\n"
-    )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert len(lines) == 6
-    for line in lines:
-        mu_c, located = map(float, line.split())
-        assert abs(located - mu_c) <= 2 * math.ulp(mu_c)
-
-
-def test_locate_ep_no_sign_change():
-    with pytest.raises(NoSignChange):
-        locate_ep_numeric(5.0, 1.0, 0, (3.0, 4.0))
-
-
-def test_locate_ep_rejects_bad_bracket():
-    with pytest.raises(ValueError):
-        locate_ep_numeric(5.0, 1.0, 0, (2.0, 1.0))
+def test_exact_root_oracle_rejects_a_negative_mu_c():
+    # The discriminant is the same at -mu_c, so a bare sign change would accept it.
+    params = ModelParams(5.0, 1.0, 0.0)
+    for n in range(6):
+        assert _ulps_from_root(params.delta, n, -critical_coupling(params, n)) == 3
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.7, 1.3, 2.4, 3.1])
