@@ -75,6 +75,13 @@ def test_exact_root_oracle_rejects_a_negative_mu_c():
         assert _ulps_from_root(params.delta, n, -critical_coupling(params, n)) == 3
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+def test_locate_ep_agrees_with_closed_form(n):
+    # The figure's coalescences, located by the exact sign of the discriminant.
+    params = ModelParams(**FIG, mu=0)
+    assert _ulps_from_root(params.delta, n, critical_coupling(params, n)) <= 2
+
+
 @pytest.mark.parametrize("mu", [0.0, 0.7, 1.3, 2.4, 3.1])
 @pytest.mark.parametrize("n", range(6))
 def test_spectrum_matches_eig2(mu, n):
