@@ -61,7 +61,7 @@ class SweepSpec(namedtuple("SweepSpec", "alpha homega tau subspaces mu_min mu_ma
     """Grid description: mu in [mu_min, mu_max] with `steps` uniform points per subspace.
 
     Rows within ep_window of each subspace's own mu_c join the Exceptional
-    run, the fourth of the kernel's six runs in one fixed order.
+    run, the middle one of the kernel's three runs (unbroken, Exceptional, broken).
 
     Stored canonical: the subspaces distinct and ascending, every energy a float (0.0 for -0.0).
     """

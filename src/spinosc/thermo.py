@@ -19,12 +19,12 @@ one subspace: each row gets a code (its region and which observables are
 defined), and the defined values of all rows go, in row order, into one
 list of floats that its callers use as it is.  The couplings must be
 nondecreasing (a sweep part and a one-point grid are).  Along them the
-discriminant falls and x = b/tau is monotone on either side of mu_c, so the
-grid is six runs in a fixed order, any of them empty: unbroken rows where
-cosh(x) overflows, past x = 350, and the rest; the Exceptional rows
-(phase_rule's tolerance band and the ep window centred on the subspace's
-mu_c); broken rows with x finite, then infinite.  The kernel finds the runs
-by bisection and evaluates each run in one loop with no per-row test.
+discriminant falls, so the grid is three runs in a fixed order, any of them
+empty: the unbroken rows, the Exceptional rows (phase_rule's tolerance band
+and the ep window centred on the subspace's mu_c) and the broken rows.  The
+kernel finds the runs by bisection and evaluates each in one loop with no
+per-row phase test, which meets cosh(x) overflowing or an infinite x as the
+exception math raises.
 thermo_point runs it on a one-point grid, and the scalar accessors and
 finite_diff_check read their values through thermo_point; emit and
 run_sweep run it once per unit of a sweep (one subspace times one part of
@@ -40,9 +40,10 @@ The broken-region Z can be negative (cos factor) at small tau; points there
 are flagged rather than clamped, F and S become undefined, and C_v is still
 meaningful because it only involves derivatives of ln|Z|.  Any observable
 that leaves double range, or that depends on cos/tan of a b/tau beyond double
-range, is undefined too; the unbroken C_v is set to 0 past b/tau = 350, where
-its exact value is below 5e-299 (not an underflow).  Everything is singular at
-the coalescence point itself: observables are undefined and accessors raise.
+range, is undefined too; the unbroken C_v is 0 where cosh(b/tau)**2 leaves
+double range (b/tau past ~355.58), where its exact value is below 7.1e-304.
+Everything is singular at the coalescence point itself: observables are
+undefined and accessors raise.
 """
 
 from __future__ import annotations
@@ -166,12 +167,8 @@ def _put_defined(values: list[float], region: int, observables: tuple[float, flo
     return code
 
 
-def _unbroken_rows(mu, delta_sq, quad, tau, damping, two_delta, keep, codes, values) -> None:
-    """Codes and values of unbroken rows at whose x = D/2tau cosh stays in double range.
-
-    C_v is set to 0 past x = 350, where its exact value is below 5e-299 (not
-    an underflow): keep is 0.0 where every row is past it, 1.0 where none is.
-    """
+def _unbroken_rows(mu, delta_sq, quad, tau, damping, two_delta, codes, values) -> None:
+    """Codes and values of unbroken rows; C_v is x**2 / cosh(x)**2 where cosh(x)**2 is finite (x <= ~355.58), else 0."""
     sqrt, cosh, tanh, log, inf, nan = math.sqrt, math.cosh, math.tanh, math.log, math.inf, math.nan
     end_row, put, neg_tau = codes.append, values.extend, -tau
     for m in mu:
@@ -180,8 +177,11 @@ def _unbroken_rows(mu, delta_sq, quad, tau, damping, two_delta, keep, codes, val
         d = sqrt(delta_sq - (m * m) * quad)
         x = 0.5 * d / tau
         prefactor = two_delta / d
-        c = cosh(x)
-        cv = x * x / (c * c) * keep
+        try:
+            c = cosh(x)
+        except OverflowError:  # x past ~710.48: Z, F and S are out of range too
+            c = inf
+        cv = x * x / (c * c)
         z = prefactor * damping * c
         if z > 0.0:  # an infinite Z makes F infinite, which the range test below catches
             f = neg_tau * log(z)
@@ -190,19 +190,25 @@ def _unbroken_rows(mu, delta_sq, quad, tau, damping, two_delta, keep, codes, val
                 put((z, f, s, cv))
                 end_row(15)
                 continue
+        if c == inf:  # x * x / (c * c) is NaN where x * x overflows too, x = inf included
+            cv = 0.0
         end_row(_put_defined(values, 0, (z, f, s, cv) if 0.0 < z < inf else (z, nan, nan, cv)))
 
 
 def _broken_rows(mu, delta_sq, quad, tau, damping, four_root, codes, values) -> None:
-    """Codes and values of broken rows at whose x = Dt/2tau cos and tan are defined (x finite)."""
+    """Codes and values of broken rows, x = Dt/2tau growing along them; cos and tan of an infinite x are undefined."""
     sqrt, cos, tan, log, inf, nan = math.sqrt, math.cos, math.tan, math.log, math.inf, math.nan
     end_row, put, neg_tau = codes.append, values.extend, -tau
     for m in mu:
         d = sqrt((m * m) * quad - delta_sq)
         x = 0.5 * d / tau
         prefactor = m * four_root / d
-        c = cos(x)
-        t = tan(x)
+        try:
+            c = cos(x)
+            t = tan(x)
+        except ValueError:  # x is infinite
+            end_row(16)
+            continue
         cv = x * x * (-1.0 - t * t)
         z = prefactor * damping * c
         if z > 0.0:  # an infinite Z makes F infinite, which the range test below catches
@@ -222,7 +228,7 @@ def _broken_rows(mu, delta_sq, quad, tau, damping, four_root, codes, values) -> 
 def closed_forms(
     alpha: float, homega: float, n: int, mu: Iterable[float], tau: float, ep_window: float | None = None
 ) -> ClosedForms:
-    """Z, F, S and C_v of subspace n at every coupling in `mu`, at one tau, run by run.
+    """Z, F, S and C_v of subspace n at every coupling in `mu`, at one tau, run by run: Unbroken, Exceptional, Broken.
 
     A point is Exceptional where spectral.phase_rule tags it, or within
     ep_window of the subspace's spectral.critical_coupling, and has no
@@ -257,32 +263,16 @@ def closed_forms(
         disc, exceptional = test(m)
         return 1 if exceptional or abs(m - mu_c) <= ep_window else 0 if disc > 0.0 else 2
 
-    def half_gap(m):  # x = sqrt(|disc|)/2tau in the loops' operations
-        return 0.5 * math.sqrt(abs(delta_sq - (m * m) * quad)) / tau
-
-    def cosh_fits(m):
-        try:
-            return math.cosh(half_gap(m)) < math.inf
-        except OverflowError:
-            return False
-
     # A code is 16 * region (0 Unbroken, 1 Broken, 2 Exceptional) + the defined bits.
     codes = bytearray()
     values = []
     unbroken_end = bisect_left(mu, 1, key=rank)
     broken_start = bisect_left(mu, 2, unbroken_end, key=rank)
-    if unbroken_end:  # x falls along the unbroken rows
-        fits = bisect_left(mu, True, 0, unbroken_end, key=cosh_fits)
-        small = bisect_left(mu, True, fits, unbroken_end, key=lambda m: half_gap(m) <= 350.0)
-        codes += b"\x01" * fits  # cosh(x) overflows: Z, F and S are out of range, and C_v is 0
-        values += [0.0] * fits
-        _unbroken_rows(mu[fits:small], delta_sq, quad, tau, damping, two_delta, 0.0, codes, values)
-        _unbroken_rows(mu[small:unbroken_end], delta_sq, quad, tau, damping, two_delta, 1.0, codes, values)
+    if unbroken_end:
+        _unbroken_rows(mu[:unbroken_end], delta_sq, quad, tau, damping, two_delta, codes, values)
     codes += b"\x20" * (broken_start - unbroken_end)
-    if broken_start < len(mu):  # x grows along the broken rows
-        finite = bisect_left(mu, True, broken_start, key=lambda m: half_gap(m) == math.inf)
-        _broken_rows(mu[broken_start:finite], delta_sq, quad, tau, damping, four_root, codes, values)
-        codes += b"\x10" * (len(mu) - finite)  # cos and tan of an infinite x are undefined
+    if broken_start < len(mu):
+        _broken_rows(mu[broken_start:], delta_sq, quad, tau, damping, four_root, codes, values)
     return ClosedForms(bytes(codes), values)
 
 

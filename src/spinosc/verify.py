@@ -133,6 +133,12 @@ def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list
         report = finite_diff_check(ModelParams(alpha, homega, mu), n, tau, 1e-4 * tau)
         return max(report.rel_err_d1, report.rel_err_d2)
 
+    def truncated_spectrum(mu):
+        try:
+            return block_decomposition_check(ModelParams(alpha, homega, mu), cutoff).max_deviation
+        except ValueError as exc:  # a block's discriminant overflows, past the subspaces refused above
+            raise OverflowError(exc) from None
+
     def symmetries(mu):
         report = symmetry_report(ModelParams(alpha, homega, mu), cutoff)
         passed = (
@@ -160,10 +166,10 @@ def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list
          [(n, f * mu_c[n], tau) for n in (0, 2, 5) for f, tau in ((0.5, 1.0), (0.6, 1.5), (1.25, 2.5))], stencil),
         # Couplings that sit exactly on a block coalescence are left out: a
         # defective block's eigenvalues carry sqrt(eps)-level conditioning,
-        # which no dense solver can beat.
+        # which no dense solver can beat.  mu_c of subspace n is mu_c[0] /
+        # sqrt(n + 1), and no fraction below is 1 / sqrt(n + 1).
         ("truncated spectrum matches block union", 1e-8, "max deviation", "the truncated spectrum at mu = {:.12g}",
-         [(mu,) for mu in (0.0, 0.6, 1.3, 3.0)],
-         lambda mu: block_decomposition_check(ModelParams(alpha, homega, mu), cutoff).max_deviation),
+         [(f * mu_c[0],) for f in (0.0, 0.3, 0.65, 1.5)], truncated_spectrum),
         ("full-space symmetries (grading, sigma-z, parity, no PT)", None, None, "the full space at mu = {:.12g}",
          [(1.0,)], symmetries),
     ]

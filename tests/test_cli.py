@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from spinosc import verify
@@ -120,6 +121,18 @@ def test_thermo_where_cosh_overflows_is_undefined_not_nan(tau):
         assert line in quiet.stdout.splitlines()
 
 
+def test_thermo_prints_the_unbroken_cv_past_x_350():
+    # x = b/tau = 2/tau is ~352 at mu = 0: C_v ~ 9e-301 is a normal double and prints as one.
+    tau = "0.005681818181818182"
+    result = run_cli("thermo", "--n", "0", "--mu", "0", "--tau", tau)
+    assert result.returncode == 0, result.stderr
+    with mpmath.workdps(50):
+        x = 2 / mpmath.mpf(float(tau))
+        exact = float(x**2 / mpmath.cosh(x) ** 2)
+    assert 351.9 < float(x) < 352.1
+    assert f"Cv = {exact:.12g}" in result.stdout.splitlines()
+
+
 def test_sweep_json_at_tiny_tau_has_no_nan():
     result = run_cli("sweep", "--tau", "1e-3", "--steps", "5", "--format", "json")
     assert result.returncode == 0, result.stderr
@@ -147,6 +160,15 @@ def test_verify_passes_on_defaults():
     assert result.returncode == 0
     assert "all 8 checks passed" in result.stdout
     assert "FAIL" not in result.stdout
+
+
+@pytest.mark.parametrize("alpha", ["-5", "7"])
+def test_verify_block_check_takes_no_coupling_at_a_coalescence(alpha):
+    # |homega - alpha| = 6 puts mu_c of subspace 0 at 3, a defective block whose
+    # eigenvalues no dense solver resolves to 1e-8; the check's couplings scale with mu_c.
+    result = run_cli("--alpha", alpha, "verify", "--cutoff", "8")
+    assert "Traceback" not in result.stderr
+    assert "PASS truncated spectrum matches block union" in result.stdout, result.stdout
 
 
 def test_verify_skips_closed_z_outside_double_range():

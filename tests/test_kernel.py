@@ -72,7 +72,7 @@ def reference_row(alpha, homega, n, mu, tau, ep_window):
             cosh = math.cosh(x)
         except OverflowError:
             cosh = math.inf
-        cv = 0.0 if x > 350.0 else x**2 / cosh**2
+        cv = x * x / (cosh * cosh) if cosh * cosh < math.inf else 0.0
         z = envelope * cosh
         if math.isfinite(z):
             s = math.log(prefactor) + math.log(cosh) - x * math.tanh(x)
@@ -258,13 +258,51 @@ def test_overflowing_discriminant_is_a_value_error():
         closed_forms(5.0, 1.0, 0, [1.0, 1e200], 1.0)
 
 
-def test_unbroken_cv_is_zero_past_x_350():
-    # b = sqrt(3) at mu = 1, n = 0; the exact C_v there is below 1e-298.
-    params = ModelParams(5.0, 1.0, 1.0)
-    b = math.sqrt(3.0)
-    assert 0.0 < specific_heat(params, 0, b / 349.0) < 1e-290
-    for tau in (b / 351.0, 1e-320):
-        assert specific_heat(params, 0, tau) == 0.0
+def _cv_column(codes, values):
+    """The C_v of each row of a kernel result, None where it is undefined."""
+    values = iter(values)
+    column = []
+    for code in codes:
+        defined = [next(values) for flag in row_kind(code)[1] if flag]
+        column.append(defined[-1] if code & 1 else None)
+    return column
+
+
+def test_unbroken_cv_against_50_digit_values_across_the_overflow_edges():
+    # b = sqrt(4 - mu**2) at alpha 5, n 0, so x = b/tau falls from 720 to ~72 along the grid: it
+    # crosses ~710.48, where cosh(x) overflows, ~355.58, where cosh(x)**2 does, and 350.
+    tau = 2 / 720.0
+    mu = _linspace(0.0, 1.99, 2001)
+    codes, values = closed_forms(5.0, 1.0, 0, mu, tau)
+    kinds = set()
+    with mpmath.workdps(50):
+        for m, code, cv in zip(mu, codes, _cv_column(codes, values)):
+            x = 0.5 * math.sqrt(16.0 - (m * m) * 4.0) / tau  # the kernel's double x
+            try:
+                c = math.cosh(x)
+            except OverflowError:
+                c = None
+            if c is None:
+                assert (code, cv) == (1, 0.0), m  # Z, F and S are out of range
+                kinds.add("cosh overflows")
+            elif c * c == math.inf:
+                assert (code, cv) == (15, 0.0), m
+                kinds.add("cosh squared overflows")
+            else:
+                assert code == 15, m
+                at_x = mpmath.mpf(x) ** 2 / mpmath.cosh(x) ** 2
+                exact_x = mpmath.sqrt(4 - mpmath.mpf(m) ** 2) / mpmath.mpf(tau)
+                exact = exact_x**2 / mpmath.cosh(exact_x) ** 2
+                # A few ulps at the double x; the rounding of x itself moves C_v by ~2x ulps of x.
+                assert abs(cv - at_x) <= 4 * np.finfo(np.float64).eps * at_x, m
+                assert abs(cv - exact) <= TOL * exact, m
+                kinds.add("past 350" if x > 350.0 else "at most 350")
+    assert kinds == {"cosh overflows", "cosh squared overflows", "past 350", "at most 350"}
+    # x = 2/tau at mu = 0 is infinite at tau = 5e-324, where cosh returns inf without raising, and
+    # 2e160 at 1e-160, where x * x overflows too: C_v is 0 at both.  At 5e-324 the x of the broken
+    # mu = 3 is infinite as well, where cos and tan are undefined.
+    assert closed_forms(5.0, 1.0, 0, [0.0, 1.0, 3.0], 5e-324) == ClosedForms(b"\x01\x01\x10", [0.0, 0.0])
+    assert closed_forms(5.0, 1.0, 0, [0.0, 1.0], 1e-160) == ClosedForms(b"\x01\x01", [0.0, 0.0])
 
 
 def _two_level_row(n, homega, delta, tau):
@@ -275,7 +313,7 @@ def _two_level_row(n, homega, delta, tau):
     except OverflowError:
         cosh = math.inf
     z = 2.0 * math.exp(-0.5 * (2 * n + 1) * homega / tau) * cosh
-    cv = 0.0 if x > 350.0 else x * x / (cosh * cosh)
+    cv = x * x / (cosh * cosh) if cosh * cosh < math.inf else 0.0
     if not 0.0 < abs(z) < math.inf:
         return None, None, None, cv
     f = -tau * math.log(z)
@@ -349,7 +387,7 @@ def reference_closed_forms(alpha, homega, n, mu, tau, window=None):
             except OverflowError:
                 c = inf
             slope = -x * math.tanh(x)
-            cv = 0.0 if x > 350.0 else x * x / (c * c)
+            cv = x * x / (c * c) if c * c < inf else 0.0
             region = 0
         else:
             d = math.sqrt(-disc)
@@ -475,7 +513,8 @@ def test_kernel_is_bit_identical_to_the_per_row_loop_at_edges(mu, ep_window, tau
 @pytest.mark.parametrize("n", [0, 2**53 - 1])
 @pytest.mark.parametrize("alpha", [5.0, 3.0e3, -1e150, 1.000001])
 def test_kernel_is_bit_identical_where_x_passes_350_and_710(n, alpha):
-    # b = D/2 over tau crosses x = 350 (C_v set to 0) and x ~ 710.48 (cosh overflows) inside the grid.
+    # b = D/2 over tau crosses x = 350, ~355.58 (C_v is 0 once cosh(x)**2 overflows) and ~710.48
+    # (cosh overflows) inside the grid.
     delta = 1.0 - alpha
     mu_c = critical_coupling(ModelParams(alpha, 1.0, 0.0), n)
     for tau in (abs(delta) / 600.0, abs(delta) / 1400.0, abs(delta) / 1e6):
@@ -488,7 +527,7 @@ def test_kernel_crosses_x_350_and_the_cosh_overflow_inside_one_run():
 
 
 def test_kernel_keeps_c_v_at_x_exactly_350():
-    # x = 0.5 * 4 / tau is exactly 350 at mu = 0: C_v is set to 0 only past it.
+    # x = 0.5 * 4 / tau is exactly 350 at mu = 0, where C_v is a normal double, 4.83e-299.
     tau = 2 / 350
     assert 0.5 * 4.0 / tau == 350.0
     codes, values = _assert_bit_identical(5.0, 1.0, 0, [0.0, 0.0, 1e-3], tau)
