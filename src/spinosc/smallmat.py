@@ -12,7 +12,6 @@ __all__ = [
     "DefectiveMatrix",
     "ConvergenceFailure",
     "Eigenpair2",
-    "ep_tolerance",
     "eig2",
     "expm2",
     "eigN",
@@ -46,11 +45,6 @@ class Eigenpair2(NamedTuple):
     left_vector: np.ndarray
 
 
-def ep_tolerance(scale_sq: float) -> float:
-    """Scale-aware threshold below which a 2x2 discriminant counts as zero."""
-    return 1e-12 * max(1.0, scale_sq)
-
-
 def _as_block(m) -> np.ndarray:
     import numpy as np
 
@@ -77,9 +71,10 @@ def eig2(m) -> tuple[Eigenpair2, Eigenpair2]:
     """Eigendecomposition of a 2x2 complex matrix from the characteristic polynomial.
 
     The quadratic is solved with the sign choice that avoids cancellation in
-    lambda_1, and lambda_2 = det/lambda_1.  Raises DefectiveMatrix when the
-    discriminant is below the scale-aware tolerance, unless the matrix is a
-    scalar multiple of the identity (degenerate but diagonalizable).
+    lambda_1, and lambda_2 = det/lambda_1.  Raises DefectiveMatrix when
+    |disc| < 1e-12 * max(1, (a-d)**2, 4|bc|), unless the matrix is a scalar
+    multiple of the identity (degenerate but diagonalizable).  The absolute
+    floor stays here, in the oracle: near a defect its eigenvectors are lost.
     """
     import numpy as np
 
@@ -97,7 +92,7 @@ def eig2(m) -> tuple[Eigenpair2, Eigenpair2]:
         e2 = np.array([0.0, 1.0], dtype=complex)
         return (Eigenpair2(lam, e1, e1.copy()), Eigenpair2(lam, e2, e2.copy()))
 
-    if abs(disc) < ep_tolerance(max(abs(a - d) ** 2, 4.0 * abs(b) * abs(c))):
+    if abs(disc) < 1e-12 * max(1.0, abs(a - d) ** 2, 4.0 * abs(b) * abs(c)):
         lam = tr / 2.0
         raise DefectiveMatrix(
             f"eigenvalues coalesce at {lam}; eigenvectors unavailable",

@@ -2,7 +2,8 @@
 
 phase_rule is the one home of the phase rule.  It forms the discriminant
 delta**2 - 4*mu**2*(n+1) in real arithmetic before any square root, so the
-unbroken/broken decision is a sign test rather than a complex-rounding artifact.
+unbroken/broken decision is a sign test rather than a complex-rounding artifact,
+and its Exceptional band is relative to delta**2, so the rule sees mu/mu_c alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from enum import Enum
 from typing import NamedTuple
 
 from .model import ModelParams, check_subspace_index
-from .smallmat import ep_tolerance
 
 __all__ = [
     "PhaseRegion",
@@ -49,19 +49,19 @@ class Spectrum2(NamedTuple):
 def phase_rule(delta: float, n: int) -> Callable[[float], tuple[float, bool]]:
     """The phase test of subspace n: a function of one coupling mu giving (disc, exceptional).
 
-    disc = delta**2 - 4*mu**2*(n+1), and exceptional is |disc| <
-    ep_tolerance(delta**2).  n must already be validated.  The test raises
+    disc = delta**2 - 4*mu**2*(n+1), and exceptional is |disc| < 1e-12 *
+    delta**2 (no absolute floor) or disc == 0, which keeps mu = 0 Exceptional
+    at zero detuning.  n must already be validated.  The test raises
     ValueError where disc leaves double range.
     """
     delta_sq = delta * delta
-    tolerance = ep_tolerance(delta_sq)
-    levels, inf = n + 1, math.inf
+    tolerance, levels, inf = 1e-12 * delta_sq, n + 1, math.inf
 
     def test(mu: float) -> tuple[float, bool]:
         disc = delta_sq - 4.0 * (mu * mu) * levels
         if not -inf < disc < inf:
             raise ValueError(f"the discriminant of subspace {n} overflows: alpha, homega or mu is too large")
-        return disc, abs(disc) < tolerance
+        return disc, abs(disc) < tolerance or disc == 0.0
 
     return test
 

@@ -20,18 +20,19 @@ defined), and the defined values of all rows go, in row order, into one
 list of floats that its callers use as it is.  The couplings must be
 nondecreasing (a sweep part and a one-point grid are).  Along them the
 discriminant falls, so the grid is three runs in a fixed order, any of them
-empty: the unbroken rows, the Exceptional rows (phase_rule's tolerance band
-and the ep window centred on the subspace's mu_c) and the broken rows.  The
-kernel finds the runs by bisection and evaluates each in one loop with no
-per-row phase test, which meets cosh(x) overflowing or an infinite x as the
-exception math raises.
+empty: the unbroken rows, the Exceptional rows (phase_rule's band, relative
+to delta**2, and the ep window centred on the subspace's mu_c) and the
+broken rows.  The kernel finds the runs by bisection and evaluates each in
+one loop with no per-row phase test, which meets cosh(x) overflowing or an
+infinite x as the exception math raises.
 thermo_point runs it on a one-point grid, and the scalar accessors and
 finite_diff_check read their values through thermo_point; emit and
 run_sweep run it once per unit of a sweep (one subspace times one part of
 its grid).  The row-by-row loop it replaced lives in the tests as the
 reference for its codes and bits.  The matrix trace itself
 (partition_function) is the oracle the closed forms are validated against
-in the verification suite and the tests; it, and only it, imports numpy.
+in the verification suite and the tests; it imports numpy and the matrix
+modules (metric, smallmat) only when it runs, not when thermo loads.
 finite_diff_check differentiates the matrix-route ln Z numerically and
 compares it with d lnZ/d tau = U/tau^2 and d2 lnZ/d tau2 derived from the
 kernel's F, S and C_v, so that oracle checks the production S and C_v.
@@ -53,9 +54,7 @@ from bisect import bisect_left
 from collections.abc import Iterable
 from typing import NamedTuple
 
-from .metric import ExceptionalPoint, eta
 from .model import ModelParams, build_block, check_subspace_index
-from .smallmat import expm2
 from .spectral import PhaseRegion, critical_coupling, phase_rule
 
 __all__ = [
@@ -118,6 +117,8 @@ def partition_function(params: ModelParams, n: int, tau: float) -> float:
     """
     import numpy as np
 
+    from .metric import eta
+    from .smallmat import expm2
     n = check_subspace_index(n)
     tau = _check_tau(tau)
     g = eta(params, n).matrix
@@ -259,7 +260,7 @@ def closed_forms(
     ep_window = -math.inf if ep_window is None else ep_window  # no row is within -inf of mu_c
 
     def rank(m):  # 0 Unbroken, 1 Exceptional, 2 Broken: nondecreasing in m >= 0, as disc falls
-        # |disc(mu_c)| is a few ulps of delta_sq, so the window and phase_rule's band are one interval.
+        # |disc(mu_c)| is a few ulps of a normal delta_sq, so the window and phase_rule's band are one interval.
         disc, exceptional = test(m)
         return 1 if exceptional or abs(m - mu_c) <= ep_window else 0 if disc > 0.0 else 2
 
@@ -280,6 +281,7 @@ def _defined(params: ModelParams, n: int, tau: float):
     """(Z, F, S, C_v) of one point; raises ExceptionalPoint at the coalescence point."""
     point = thermo_point(params, n, tau)
     if point.region is PhaseRegion.EXCEPTIONAL:
+        from .metric import ExceptionalPoint
         raise ExceptionalPoint(f"observables are singular at mu = {params.mu} (coalescence for subspace n = {point.n})")
     return point[4:8]
 

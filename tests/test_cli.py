@@ -67,6 +67,35 @@ def test_thermo_exit_code_at_coalescence():
     assert "Z = undefined" in result.stdout
 
 
+def _thermo_fields(*args):
+    """Exit code and the `name = value` lines of a thermo call."""
+    result = run_cli(*args)
+    assert result.stderr == ""
+    return result.returncode, dict(line.split(" = ") for line in result.stdout.splitlines())
+
+
+def test_thermo_at_a_tiny_scale_is_the_scale_one_point():
+    # Every energy times 1e-7: the phase is decided by mu/mu_c = 0.4 alone, so the point is Unbroken, not
+    # Exceptional; Z, S and C_v are those of scale 1 and F is 1e-7 times its F.
+    code, tiny = _thermo_fields("--alpha", "1.5e-7", "--homega", "1e-7", "thermo", "--n", "0", "--mu", "1e-8",
+                                "--tau", "1e-7")
+    assert (code, tiny["region"]) == (0, "Unbroken")
+    code, unit = _thermo_fields("--alpha", "1.5", "--homega", "1", "thermo", "--n", "0", "--mu", "0.1",
+                                "--tau", "1")
+    assert (code, unit["region"]) == (0, "Unbroken")
+    for name, factor in (("Z", 1.0), ("S", 1.0), ("Cv", 1.0), ("F", 1e-7)):
+        assert float(tiny[name]) == pytest.approx(factor * float(unit[name]), rel=1e-12, abs=0.0), name
+
+
+def test_thermo_at_zero_detuning_is_exceptional_only_at_zero_coupling():
+    # alpha == homega puts mu_c at 0: there the point coalesces, and any coupling above it is broken, with
+    # the metric weight 2 of a two-level pair, so S -> ln 2 as mu/tau -> 0.
+    code, fields = _thermo_fields("--alpha", "1", "--homega", "1", "thermo", "--n", "0", "--mu", "0")
+    assert (code, fields["region"], fields["S"]) == (3, "Exceptional", "undefined")
+    code, fields = _thermo_fields("--alpha", "1", "--homega", "1", "thermo", "--n", "0", "--mu", "1e-9")
+    assert (code, fields["region"], fields["S"]) == (0, "Broken", format(math.log(2.0), ".12g"))
+
+
 def test_sweep_rejects_single_step():
     result = run_cli("sweep", "--mu-min", "0", "--mu-max", "4", "--steps", "1")
     assert result.returncode == 2

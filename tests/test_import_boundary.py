@@ -6,6 +6,7 @@ Nor pathlib, which loads urllib.parse and ipaddress too: emit opens a path with 
 Nor fractions, which loads decimal (~3 ms): verify's exact-root oracle imports it only when it runs.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -15,6 +16,11 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spinosc"
+
+# The production path and the matrix oracles it must not load when it is imported.
+PRODUCTION = ("model", "spectral", "thermo", "sweep")
+ORACLES = {"metric", "smallmat", "fullspace", "verify"}
 
 # The modules a production command must not load.
 HEAVY = (
@@ -87,3 +93,26 @@ def test_importing_the_cli_loads_every_spanned_module_without_numpy(monkeypatch)
     modules, loaded = _fresh(IMPORT_CLI)
     assert {f"spinosc.{name.partition('.')[0]}" for name in SPANNED} <= set(modules)
     assert loaded == []
+
+
+def _module_level_imports(tree):
+    """The spinosc modules a module imports when it loads: every import outside a def or class body."""
+    pending, names = list(tree.body), set()
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Import):
+            names |= {alias.name.removeprefix("spinosc.") for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):  # from .x import f, from . import x, and their absolute forms
+            module = None if node.module in (None, "spinosc") else node.module.removeprefix("spinosc.")
+            names |= {module} if module else {alias.name for alias in node.names}
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            pending.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_production_modules_import_no_matrix_oracle_at_load():
+    # The oracles may import the production path, never the reverse: thermo's partition_function
+    # and _defined import metric and smallmat inside the function, when they run.
+    for name in PRODUCTION:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(), filename=f"{name}.py")
+        assert _module_level_imports(tree) & ORACLES == set(), name

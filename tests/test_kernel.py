@@ -521,6 +521,19 @@ def test_kernel_is_bit_identical_where_x_passes_350_and_710(n, alpha):
         _assert_bit_identical(alpha, 1.0, n, _linspace(0.0, 3.0 * mu_c, 3001), tau, 1e-6 * mu_c)
 
 
+@pytest.mark.parametrize("ep_window", [None, 0.0])
+@pytest.mark.parametrize("alpha,homega", [(1.0, 1.0), (2e-170, 1e-170)], ids=["delta-0", "delta-squared-underflows"])
+def test_kernel_at_zero_detuning_divides_by_no_zero_discriminant(alpha, homega, ep_window):
+    # delta**2 is 0, so the phase rule's band is empty: mu = 0, where disc == 0 (and every mu whose
+    # square underflows), is Exceptional, and every larger coupling is broken with disc < 0.
+    for hi in (4.0, 1e-6, 1e-160):
+        for tau in (5.0, 1e-3):
+            codes = _assert_bit_identical(alpha, homega, 0, _linspace(0.0, hi, 201), tau, ep_window)[0]
+            assert codes[0] == 32
+            if hi > 1e-160:
+                assert {code >> 4 for code in codes[1:]} == {1}
+
+
 def test_kernel_crosses_x_350_and_the_cosh_overflow_inside_one_run():
     codes = _assert_bit_identical(5.0, 1.0, 0, _linspace(0.0, 1.99, 4001), 2 / 720.0)[0]
     assert codes[0] == 1 and 15 in codes  # cosh overflows at the head, values come back further on

@@ -315,8 +315,10 @@ def test_thermo_point_never_builds_a_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("matrix route called on the production path")
 
-    for name in ("expm2", "eta", "build_block"):
-        monkeypatch.setattr(f"spinosc.thermo.{name}", refuse)
+    # thermo imports eta and expm2 inside the oracle functions that use them, which read
+    # them from their defining modules at each call: patching those modules catches every route.
+    for target in ("spinosc.metric.eta", "spinosc.smallmat.expm2", "spinosc.thermo.build_block"):
+        monkeypatch.setattr(target, refuse)
     cases = [
         (1.0, 1.0, PhaseRegion.UNBROKEN, Z_UNBROKEN),
         (2.5, 2.0, PhaseRegion.BROKEN, Z_BROKEN),
