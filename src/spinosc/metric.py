@@ -27,10 +27,9 @@ from typing import NamedTuple
 
 from .model import ModelParams, build_block, check_subspace_index
 from .smallmat import DefectiveMatrix, Eigenpair2, eig2
-from .spectral import PhaseRegion, phase
+from .spectral import ExceptionalPoint, PhaseRegion, phase
 
 __all__ = [
-    "ExceptionalPoint",
     "MetricMatrix",
     "MetricDiagnostics",
     "biortho_system",
@@ -38,10 +37,6 @@ __all__ = [
     "eta_from_vectors",
     "verify_metric",
 ]
-
-
-class ExceptionalPoint(ArithmeticError):
-    """Metric is singular at the eigenvalue coalescence point."""
 
 
 class MetricMatrix(NamedTuple):

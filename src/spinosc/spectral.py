@@ -3,7 +3,7 @@
 phase_rule is the one home of the phase rule.  It forms the discriminant
 delta**2 - 4*mu**2*(n+1) in real arithmetic before any square root, so the
 unbroken/broken decision is a sign test rather than a complex-rounding artifact,
-and its Exceptional band is relative to delta**2, so the rule sees mu/mu_c alone.
+and its Exceptional band is relative to delta**2 above a subnormal floor.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .model import ModelParams, check_subspace_index
 
 __all__ = [
+    "ExceptionalPoint",
     "PhaseRegion",
     "Spectrum2",
     "phase_rule",
@@ -24,6 +25,10 @@ __all__ = [
     "block_spectrum",
     "critical_coupling",
 ]
+
+
+class ExceptionalPoint(ArithmeticError):
+    """A quantity is singular at the eigenvalue coalescence point, where the phase rule tags a point Exceptional."""
 
 
 class PhaseRegion(Enum):
@@ -49,19 +54,21 @@ class Spectrum2(NamedTuple):
 def phase_rule(delta: float, n: int) -> Callable[[float], tuple[float, bool]]:
     """The phase test of subspace n: a function of one coupling mu giving (disc, exceptional).
 
-    disc = delta**2 - 4*mu**2*(n+1), and exceptional is |disc| < 1e-12 *
-    delta**2 (no absolute floor) or disc == 0, which keeps mu = 0 Exceptional
-    at zero detuning.  n must already be validated.  The test raises
+    disc = delta**2 - 4*mu**2*(n+1); exceptional is |disc| < max(1e-12 *
+    delta**2, (n+1) * 2e-323).  The floor, four ulps of 5e-324 per level,
+    binds only where delta**2 < (n+1) * 2e-311, where rounding delta**2 and
+    mu**2 into the subnormal range can flip the sign of disc (mu = 0 at zero
+    detuning included).  n must already be validated.  The test raises
     ValueError where disc leaves double range.
     """
     delta_sq = delta * delta
-    tolerance, levels, inf = 1e-12 * delta_sq, n + 1, math.inf
+    tolerance, levels, inf = max(1e-12 * delta_sq, (n + 1) * 2e-323), n + 1, math.inf
 
     def test(mu: float) -> tuple[float, bool]:
         disc = delta_sq - 4.0 * (mu * mu) * levels
         if not -inf < disc < inf:
             raise ValueError(f"the discriminant of subspace {n} overflows: alpha, homega or mu is too large")
-        return disc, abs(disc) < tolerance or disc == 0.0
+        return disc, abs(disc) < tolerance
 
     return test
 

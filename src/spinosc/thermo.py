@@ -20,11 +20,11 @@ defined), and the defined values of all rows go, in row order, into one
 list of floats that its callers use as it is.  The couplings must be
 nondecreasing (a sweep part and a one-point grid are).  Along them the
 discriminant falls, so the grid is three runs in a fixed order, any of them
-empty: the unbroken rows, the Exceptional rows (phase_rule's band, relative
-to delta**2, and the ep window centred on the subspace's mu_c) and the
-broken rows.  The kernel finds the runs by bisection and evaluates each in
-one loop with no per-row phase test, which meets cosh(x) overflowing or an
-infinite x as the exception math raises.
+empty: the unbroken rows, the Exceptional rows (phase_rule's band and the
+ep window centred on the subspace's mu_c) and the broken rows.  The kernel
+finds the runs by bisection and evaluates each in one loop with no per-row
+phase test, which meets cosh(x) overflowing or an infinite x as the
+exception math raises.
 thermo_point runs it on a one-point grid, and the scalar accessors and
 finite_diff_check read their values through thermo_point; emit and
 run_sweep run it once per unit of a sweep (one subspace times one part of
@@ -55,7 +55,7 @@ from collections.abc import Iterable
 from typing import NamedTuple
 
 from .model import ModelParams, build_block, check_subspace_index
-from .spectral import PhaseRegion, critical_coupling, phase_rule
+from .spectral import ExceptionalPoint, PhaseRegion, critical_coupling, phase_rule
 
 __all__ = [
     "StencilCrossesSingularity",
@@ -260,7 +260,7 @@ def closed_forms(
     ep_window = -math.inf if ep_window is None else ep_window  # no row is within -inf of mu_c
 
     def rank(m):  # 0 Unbroken, 1 Exceptional, 2 Broken: nondecreasing in m >= 0, as disc falls
-        # |disc(mu_c)| is a few ulps of a normal delta_sq, so the window and phase_rule's band are one interval.
+        # disc(mu_c) is rounding noise inside phase_rule's band, floor included: window and band are one interval.
         disc, exceptional = test(m)
         return 1 if exceptional or abs(m - mu_c) <= ep_window else 0 if disc > 0.0 else 2
 
@@ -281,7 +281,6 @@ def _defined(params: ModelParams, n: int, tau: float):
     """(Z, F, S, C_v) of one point; raises ExceptionalPoint at the coalescence point."""
     point = thermo_point(params, n, tau)
     if point.region is PhaseRegion.EXCEPTIONAL:
-        from .metric import ExceptionalPoint
         raise ExceptionalPoint(f"observables are singular at mu = {params.mu} (coalescence for subspace n = {point.n})")
     return point[4:8]
 

@@ -96,6 +96,15 @@ def test_thermo_at_zero_detuning_is_exceptional_only_at_zero_coupling():
     assert (code, fields["region"], fields["S"]) == (0, "Broken", format(math.log(2.0), ".12g"))
 
 
+@pytest.mark.parametrize("mu", ["0", "1.5e-162"])
+def test_thermo_refuses_a_point_whose_discriminant_is_underflow_noise(mu):
+    # delta**2 rounds up to one subnormal ulp, 5e-324 against a true 3.1e-324, and mu**2 rounds to 0: at
+    # mu = 0 sqrt(delta**2) is ~25% off |delta|, and mu = 1.5e-162 > mu_c is broken although disc is 5e-324.
+    code, fields = _thermo_fields("--alpha", "9.999999999982296e-151", "--homega", "1e-150", "thermo",
+                                  "--n", "0", "--mu", mu)
+    assert (code, fields["region"], fields["Z"]) == (3, "Exceptional", "undefined")
+
+
 def test_sweep_rejects_single_step():
     result = run_cli("sweep", "--mu-min", "0", "--mu-max", "4", "--steps", "1")
     assert result.returncode == 2

@@ -524,8 +524,8 @@ def test_kernel_is_bit_identical_where_x_passes_350_and_710(n, alpha):
 @pytest.mark.parametrize("ep_window", [None, 0.0])
 @pytest.mark.parametrize("alpha,homega", [(1.0, 1.0), (2e-170, 1e-170)], ids=["delta-0", "delta-squared-underflows"])
 def test_kernel_at_zero_detuning_divides_by_no_zero_discriminant(alpha, homega, ep_window):
-    # delta**2 is 0, so the phase rule's band is empty: mu = 0, where disc == 0 (and every mu whose
-    # square underflows), is Exceptional, and every larger coupling is broken with disc < 0.
+    # delta**2 is 0, so the phase rule's band is its subnormal floor alone: mu = 0, where disc == 0 (and every
+    # mu whose square underflows), is Exceptional, and every larger coupling is broken with disc < 0.
     for hi in (4.0, 1e-6, 1e-160):
         for tau in (5.0, 1e-3):
             codes = _assert_bit_identical(alpha, homega, 0, _linspace(0.0, hi, 201), tau, ep_window)[0]
@@ -610,13 +610,44 @@ def test_thermo_point_makes_at_most_three_phase_tests(monkeypatch, mu):
     assert 1 <= len(calls) <= 3
 
 
+# (alpha, homega, n) where rounding delta**2 or 4*mu_c**2*(n+1) into the subnormal range moves the
+# discriminant by more than 1e-12*delta**2: the band's floor must hold mu_c.  Random draws almost never land here.
+SUBNORMAL_ROUNDING = [
+    (0.0, 1e-150, 2**53 - 1),  # delta**2 is normal, mu_c**2 ~ 2.8e-317 is not
+    (2.9967829359657627e-154, 2.9967830018561974e-154, 0),  # delta**2 ~ 4.3e-323
+    (9.999999999982296e-151, 1e-150, 0),  # delta**2 rounds up to one ulp, 5e-324
+]
+
+
 def test_mu_c_is_inside_the_phase_rule_band():
     # closed_forms' run key is monotone because the window around mu_c and
     # phase_rule's tolerance band are one interval: each contains mu_c.
     rng = random.Random(20261019)
-    for _ in range(2000):
-        alpha = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-150, 150)
-        params = ModelParams(alpha, 10 ** rng.uniform(-150, 150), 0.0)
-        n = rng.choice((0, 1, 3, 10, 100, 10**4, 10**6, 2**53 - 1))
+    cases = [
+        (rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-150, 150), 10 ** rng.uniform(-150, 150),
+         rng.choice((0, 1, 3, 10, 100, 10**4, 10**6, 2**53 - 1)))
+        for _ in range(2000)
+    ]
+    for alpha, homega, n in cases + SUBNORMAL_ROUNDING:
+        params = ModelParams(alpha, homega, 0.0)
         mu_c = critical_coupling(params, n)
         assert classify(params._replace(mu=mu_c), n) is PhaseRegion.EXCEPTIONAL, (params, n)
+
+
+@pytest.mark.parametrize("alpha,homega,n", SUBNORMAL_ROUNDING)
+@pytest.mark.parametrize("ep_window", [None, 0.0])
+def test_kernel_where_the_discriminant_rounds_into_the_subnormal_range(alpha, homega, n, ep_window):
+    # Across mu_c, with or without the mask, the runs are the per-row reference's.
+    mu_c = critical_coupling(ModelParams(alpha, homega, 0.0), n)
+    for lo, hi in ((0.0, 2.0 * mu_c), (mu_c, 2.0 * mu_c), (0.999 * mu_c, 1.001 * mu_c)):
+        _assert_bit_identical(alpha, homega, n, _linspace(lo, hi, 41), homega, ep_window)
+
+
+def test_a_one_ulp_delta_squared_is_exceptional_across_twice_mu_c():
+    # delta**2 rounds up to 5e-324 against a true 3.1e-324, and every 4*mu**2 up to 2*mu_c rounds to at
+    # most 4 ulps: no sign of the discriminant there is known, so no row gets a phase.
+    mu_c = critical_coupling(ModelParams(9.999999999982296e-151, 1e-150, 0.0), 0)
+    for ep_window in (None, 0.0):
+        codes, values = closed_forms(9.999999999982296e-151, 1e-150, 0, _linspace(mu_c, 2.0 * mu_c, 41), 1e-150,
+                                     ep_window)
+        assert (codes, values) == (b"\x20" * 41, [])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spinosc.metric import (
-    ExceptionalPoint,
     biortho_system,
     eta,
     eta_from_vectors,
@@ -10,7 +9,7 @@ from spinosc.metric import (
 )
 from spinosc.model import ModelParams, build_block
 from spinosc.smallmat import DefectiveMatrix
-from spinosc.spectral import PhaseRegion, critical_coupling
+from spinosc.spectral import ExceptionalPoint, PhaseRegion, critical_coupling
 
 FIG = dict(alpha=5.0, homega=1.0)
 

@@ -4,8 +4,9 @@ The model is homogeneous of degree 1: scaling alpha, homega, mu, tau and
 ep_window by the same lambda leaves Z, S and C_v unchanged and multiplies F
 by lambda.  For lambda a power of two every scaled input is exact, so a
 sweep must reproduce the lambda = 1 sweep bit for bit.  The phase rule's
-Exceptional band is relative to delta**2, so this holds at every lambda
-where delta**2 stays a normal double, right up to mu_c.
+Exceptional band is relative to delta**2 above its subnormal floor, so this
+holds, right up to mu_c, at every lambda where delta**2 and each mu**2 stay
+normal doubles.
 """
 
 import pytest

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from spinosc.metric import ExceptionalPoint, eta
+from spinosc.metric import eta
 from spinosc.model import ModelParams, build_block
 from spinosc.smallmat import expm2
-from spinosc.spectral import PhaseRegion, block_spectrum, critical_coupling, phase
+from spinosc.spectral import ExceptionalPoint, PhaseRegion, block_spectrum, critical_coupling, phase
 from spinosc.sweep import SweepSpec
 from spinosc.thermo import (
     OBSERVABLE_BITS,
