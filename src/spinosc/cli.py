@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu-min", type=float, default=0.0)
         p.add_argument("--mu-max", type=float, default=4.0)
         p.add_argument("--steps", type=int, default=161)
-        p.add_argument("--ep-window", type=float, default=1e-6)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default="-", help="output path, '-' for stdout (default)")
 
@@ -131,16 +130,7 @@ def _cmd_thermo(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = SweepSpec(
-        alpha=args.alpha,
-        homega=args.homega,
-        tau=args.tau,
-        subspaces=args.subspaces,
-        mu_min=args.mu_min,
-        mu_max=args.mu_max,
-        steps=args.steps,
-        ep_window=args.ep_window,
-    )
+    spec = SweepSpec(args.alpha, args.homega, args.tau, args.subspaces, args.mu_min, args.mu_max, args.steps)
     # SweepSpec validates the whole grid before emit opens the destination: a rejected sweep writes nothing.
     emit(spec, format=args.format, destination=args.output)
     return EXIT_OK

@@ -72,9 +72,9 @@ def eig2(m) -> tuple[Eigenpair2, Eigenpair2]:
 
     The quadratic is solved with the sign choice that avoids cancellation in
     lambda_1, and lambda_2 = det/lambda_1.  Raises DefectiveMatrix when
-    |disc| < 1e-12 * max(1, (a-d)**2, 4|bc|), unless the matrix is a scalar
-    multiple of the identity (degenerate but diagonalizable).  The absolute
-    floor stays here, in the oracle: near a defect its eigenvectors are lost.
+    |disc| < max(1e-12 * max((a-d)**2, 4|bc|), 2e-323), unless the matrix is
+    a scalar multiple of the identity (degenerate but diagonalizable).  Both
+    tests scale with the entries; the subnormal floor binds only where the band underflows.
     """
     import numpy as np
 
@@ -85,14 +85,14 @@ def eig2(m) -> tuple[Eigenpair2, Eigenpair2]:
     det = a * d - b * c
     disc = (a - d) ** 2 + 4.0 * b * c
 
-    scale = max(abs(a), abs(b), abs(c), abs(d), 1.0)
+    scale = max(abs(a), abs(b), abs(c), abs(d))
     if abs(b) <= 1e-14 * scale and abs(c) <= 1e-14 * scale and abs(a - d) <= 1e-14 * scale:
         lam = tr / 2.0
         e1 = np.array([1.0, 0.0], dtype=complex)
         e2 = np.array([0.0, 1.0], dtype=complex)
         return (Eigenpair2(lam, e1, e1.copy()), Eigenpair2(lam, e2, e2.copy()))
 
-    if abs(disc) < 1e-12 * max(1.0, abs(a - d) ** 2, 4.0 * abs(b) * abs(c)):
+    if abs(disc) < max(1e-12 * max(abs(a - d) ** 2, 4.0 * abs(b) * abs(c)), 2e-323):
         lam = tr / 2.0
         raise DefectiveMatrix(
             f"eigenvalues coalesce at {lam}; eigenvectors unavailable",

@@ -5,9 +5,9 @@ of its mu grid of at most _PART_ROWS steps each.  The kernel
 thermo.closed_forms evaluates one unit per call.  emit, given the sweep's
 SweepSpec, is the one way to write a sweep; run_sweep returns every unit's
 block, and render_csv and render_json render blocks in memory.
-Rows near a coalescence point (within ep_window of the critical coupling)
-are tagged Exceptional and carry no observables; undefined values serialize
-as empty CSV fields / JSON nulls, never as sentinel numbers.
+Rows within EP_WINDOW * |homega - alpha| of a critical coupling are tagged
+Exceptional and carry no observables; undefined values serialize as empty
+CSV fields / JSON nulls, never as sentinel numbers.
 
 emit writes one unit at a time and formats the mu texts of each grid part
 once per process.  Where the grid has more rows than one part, it evaluates
@@ -44,7 +44,7 @@ from .model import ModelParams, check_subspace_index
 from .spectral import critical_coupling, phase
 from .thermo import ClosedForms, _check_tau, closed_forms, row_kind
 
-__all__ = ["SweepSpec", "SweepBlock", "run_sweep", "emit", "CSV_HEADER", "MAX_ROWS"]
+__all__ = ["SweepSpec", "SweepBlock", "run_sweep", "emit", "CSV_HEADER", "MAX_ROWS", "EP_WINDOW"]
 
 CSV_HEADER = "n,mu,tau,region,mu_c,Z,F,S,Cv,valid"
 
@@ -57,11 +57,15 @@ larger grid into several sweeps.
 """
 
 
-class SweepSpec(namedtuple("SweepSpec", "alpha homega tau subspaces mu_min mu_max steps ep_window")):
+EP_WINDOW = 2.5e-7
+"""Half-width around each subspace's mu_c, in units of |homega - alpha|: 1e-6 at the defaults, and scale-free."""
+
+
+class SweepSpec(namedtuple("SweepSpec", "alpha homega tau subspaces mu_min mu_max steps")):
     """Grid description: mu in [mu_min, mu_max] with `steps` uniform points per subspace.
 
-    Rows within ep_window of each subspace's own mu_c join the Exceptional
-    run, the middle one of the kernel's three runs (unbroken, Exceptional, broken).
+    Rows within EP_WINDOW * |homega - alpha| of each subspace's own mu_c join the
+    Exceptional run, the middle one of the kernel's three runs (unbroken, Exceptional, broken).
 
     Stored canonical: the subspaces distinct and ascending, every energy a float (0.0 for -0.0).
     """
@@ -77,7 +81,6 @@ class SweepSpec(namedtuple("SweepSpec", "alpha homega tau subspaces mu_min mu_ma
         mu_min: float,
         mu_max: float,
         steps: int,
-        ep_window: float = 1e-6,
     ):
         tau = _check_tau(tau)
         for name, value in (("mu_min", mu_min), ("mu_max", mu_max)):
@@ -97,10 +100,8 @@ class SweepSpec(namedtuple("SweepSpec", "alpha homega tau subspaces mu_min mu_ma
             raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
         if len(subspaces) * steps > MAX_ROWS:
             raise ValueError(f"{len(subspaces)} subspaces x {steps} steps exceeds the {MAX_ROWS} row cap")
-        if ep_window < 0.0 or not math.isfinite(ep_window):
-            raise ValueError(f"ep_window must be a finite nonnegative value, got {ep_window}")
-        mu_min, ep_window = float(mu_min) + 0.0, float(ep_window) + 0.0  # + 0.0 turns -0.0 into 0.0
-        return super().__new__(cls, params.alpha, params.homega, tau, subspaces, mu_min, params.mu, steps, ep_window)
+        mu_min = float(mu_min) + 0.0  # + 0.0 turns -0.0 into 0.0
+        return super().__new__(cls, params.alpha, params.homega, tau, subspaces, mu_min, params.mu, steps)
 
     @classmethod
     def _make(cls, iterable):
@@ -139,7 +140,8 @@ def _units(spec: SweepSpec) -> list[tuple[int, float, array]]:
 def _evaluate(spec: SweepSpec, unit: tuple[int, float, array]) -> SweepBlock:
     """One unit's block: the kernel over its part of the mu grid."""
     n, mu_c, part = unit
-    return SweepBlock(n, mu_c, part, spec.tau, closed_forms(spec.alpha, spec.homega, n, part, spec.tau, spec.ep_window))
+    window = EP_WINDOW * abs(spec.homega - spec.alpha)
+    return SweepBlock(n, mu_c, part, spec.tau, closed_forms(spec.alpha, spec.homega, n, part, spec.tau, window))
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepBlock]:

@@ -17,6 +17,7 @@ later point of the check is evaluated.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -66,8 +67,7 @@ def _ulps_from_root(delta: float, n: int, mu_c: float) -> int:
 def _bounded(name: str, bound: float, measure: str, what: str, points, residual) -> CheckResult:
     """Judge one check by the module's rule: residual(*point) at each point in order.
 
-    what names a point once formatted with it.  A residual may instead
-    return its check's own (passed, detail), which ends the check.
+    what names a point once formatted with it.
     """
     import numpy as np
 
@@ -80,8 +80,6 @@ def _bounded(name: str, bound: float, measure: str, what: str, points, residual)
                     raise FloatingPointError(f"the residual is {value}")
             except ArithmeticError as exc:
                 return CheckResult(name, False, f"cannot evaluate {what.format(*point)}: {exc}")
-            if isinstance(value, tuple):
-                return CheckResult(name, *value)
             if value is not None:
                 worst, compared = max(worst, value), True
     if not compared:
@@ -139,15 +137,17 @@ def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list
         except ValueError as exc:  # a block's discriminant overflows, past the subspaces refused above
             raise OverflowError(exc) from None
 
+    @functools.cache
+    def full_space(mu):
+        return symmetry_report(ModelParams(alpha, homega, mu), cutoff)
+
     def symmetries(mu):
-        report = symmetry_report(ModelParams(alpha, homega, mu), cutoff)
-        passed = (
-            report.commutator_residual < 1e-12 * report.h_norm
-            and report.sigma_z_residual < 1e-12 * report.h_norm
-            and report.parity_residual < 1e-12 * report.h_norm
-            and report.pt_residual > 0.1 * report.h_norm
-        )
-        return passed, f"commutator {report.commutator_residual:.3e}, pt {report.pt_residual:.3e}"
+        report = full_space(mu)
+        return max(report.commutator_residual, report.sigma_z_residual, report.parity_residual) / report.h_norm
+
+    def pt_asymmetry(mu):  # below 1 where ||H_pt - H|| exceeds 0.1 ||H||: the model is not PT symmetric
+        report = full_space(mu)
+        return 0.1 * report.h_norm / report.pt_residual
 
     checks = [
         ("sigma-z pseudo-hermiticity (blocks)", 1e-12, "max residual", "the block at n = {}, mu = {:.12g}",
@@ -170,7 +170,9 @@ def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list
         # sqrt(n + 1), and no fraction below is 1 / sqrt(n + 1).
         ("truncated spectrum matches block union", 1e-8, "max deviation", "the truncated spectrum at mu = {:.12g}",
          [(f * mu_c[0],) for f in (0.0, 0.3, 0.65, 1.5)], truncated_spectrum),
-        ("full-space symmetries (grading, sigma-z, parity, no PT)", None, None, "the full space at mu = {:.12g}",
-         [(1.0,)], symmetries),
+        ("full-space symmetries (grading, sigma-z, parity)", 1e-12, "max relative residual",
+         "the full space at mu = {:.12g}", [(1.0,)], symmetries),
+        ("full-space PT asymmetry", 1.0, "0.1 ||H|| / ||H_pt - H||", "the full space at mu = {:.12g}", [(1.0,)],
+         pt_asymmetry),
     ]
     return [_bounded(*check) for check in checks]

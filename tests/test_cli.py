@@ -193,10 +193,20 @@ def test_negative_coupling_rejected():
     assert "mu" in result.stderr
 
 
+def test_the_removed_ep_window_flag_is_a_usage_error():
+    # The sweep's mask is EP_WINDOW * |homega - alpha|; no flag sets it.
+    for command in ("sweep", "fig"):
+        result = run_cli(command, *(("--id", "1") if command == "fig" else ()), "--ep-window", "0")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines() if "error:" in line]
+        assert errors == ["spinosc: error: unrecognized arguments: --ep-window 0"]
+
+
 def test_verify_passes_on_defaults():
     result = run_cli("verify", "--cutoff", "6")
     assert result.returncode == 0
-    assert "all 8 checks passed" in result.stdout
+    assert "all 9 checks passed" in result.stdout
     assert "FAIL" not in result.stdout
 
 
@@ -318,11 +328,13 @@ def test_verify_refuses_a_discriminant_that_overflows_on_its_grid(alpha, homega)
 @pytest.mark.parametrize(
     "args,name,detail",
     [
-        (("--alpha", "5e153", "verify", "--cutoff", "4"), "full-space symmetries (grading, sigma-z, parity, no PT)",
+        (("--alpha", "5e153", "verify", "--cutoff", "4"), "full-space symmetries (grading, sigma-z, parity)",
          "cannot evaluate the full space at mu = 1: overflow encountered in dot"),
         (("--alpha", "5e-310", "--homega", "1e-310", "verify"), "metric routes agree (eigenvectors vs closed)",
          "cannot evaluate the metric at n = 0, mu = 4e-311: metric is singular at mu = 4e-311 "
          "(coalescence for subspace n = 0)"),
+        (("--alpha", "5e153", "verify", "--cutoff", "4"), "full-space PT asymmetry",
+         "cannot evaluate the full space at mu = 1: overflow encountered in dot"),
     ],
 )
 def test_verify_fails_the_first_point_an_oracle_cannot_evaluate(args, name, detail):

@@ -55,8 +55,7 @@ def _argv(rng):
     mu_min, mu_max = sorted((_coupling(rng, mu_c), _coupling(rng, mu_c)), key=lambda text: float(text))
     subspaces = sorted({rng.choice((0, 1, 2, 5, 40, n)) for _ in range(rng.randrange(1, 4))})
     return [*head, "sweep", "--subspaces", *map(str, subspaces), f"--tau={tau}", f"--mu-min={mu_min}",
-            f"--mu-max={mu_max}", f"--steps={rng.randrange(2, 200)}", f"--ep-window={_number(rng, -12, -2)}",
-            f"--format={rng.choice(('csv', 'json'))}"]
+            f"--mu-max={mu_max}", f"--steps={rng.randrange(2, 200)}", f"--format={rng.choice(('csv', 'json'))}"]
 
 
 def _call(argv):

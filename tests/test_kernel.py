@@ -12,7 +12,6 @@ classified and branched every row on its own.  Its arithmetic is unchanged,
 so closed_forms must give the same codes and the same value bits.
 """
 
-import io
 import math
 import random
 from array import array
@@ -24,7 +23,7 @@ import pytest
 from spinosc import thermo
 from spinosc.model import ModelParams
 from spinosc.spectral import PhaseRegion, classify, critical_coupling, phase, phase_rule
-from spinosc.sweep import SweepSpec, emit
+from spinosc.sweep import EP_WINDOW, SweepBlock, SweepSpec, render_csv
 from spinosc.thermo import (
     OBSERVABLE_BITS,
     ClosedForms,
@@ -35,7 +34,7 @@ from spinosc.thermo import (
     thermo_point,
 )
 
-from rowview import cli_rows, sweep_rows
+from rowview import block_rows, cli_rows, sweep_rows
 
 TOL = 4096 * np.finfo(np.float64).eps  # 9.1e-13
 FIELDS = ("z", "free_energy", "entropy", "specific_heat")
@@ -92,11 +91,23 @@ def _assert_matches_reference(spec):
     rows = sweep_rows(spec)
     expected = [(n, mu) for n in sorted(set(spec.subspaces)) for mu in _mu_grid(spec)]
     assert [(r.n, r.mu) for r in rows] == expected
+    window = EP_WINDOW * abs(spec.homega - spec.alpha)
+    return _assert_rows_match_reference(rows, spec.alpha, spec.homega, spec.tau, window)
+
+
+def _kernel_rows(alpha, homega, n, mu, tau, ep_window):
+    """The rows of one closed_forms call, as a sweep block of them reads."""
+    mu_c = critical_coupling(ModelParams(alpha, homega, 0.0), n)
+    block = SweepBlock(n, mu_c, array("d", mu), tau, closed_forms(alpha, homega, n, mu, tau, ep_window))
+    return list(block_rows(block))
+
+
+def _assert_rows_match_reference(rows, alpha, homega, tau, ep_window):
     worst = 0.0
     for row in rows:
-        ref = reference_row(spec.alpha, spec.homega, row.n, row.mu, spec.tau, spec.ep_window)
+        ref = reference_row(alpha, homega, row.n, row.mu, tau, ep_window)
         assert (row.region, row.valid) == (ref[0], ref[5]), row
-        assert row.mu_c == critical_coupling(ModelParams(spec.alpha, spec.homega, 0.0), row.n)
+        assert row.mu_c == critical_coupling(ModelParams(alpha, homega, 0.0), row.n)
         for field, want in zip(FIELDS, ref[1:5]):
             got = getattr(row, field)
             assert (got is None) == (want is None), (row, field)
@@ -125,7 +136,8 @@ def test_sweep_matches_scalar_reference(spec):
 
 def test_sweep_matches_reference_at_classify_exceptional_point():
     # ep_window 0 leaves only classify's tolerance: mu = 2 is mu_c of n = 0.
-    rows = _assert_matches_reference(SweepSpec(**dict(FIG_GRID, subspaces=(0,), steps=9), ep_window=0.0))
+    rows = _kernel_rows(5.0, 1.0, 0, _linspace(0.0, 4.0, 9), 5.0, 0.0)
+    _assert_rows_match_reference(rows, 5.0, 1.0, 5.0, 0.0)
     assert [r.region for r in rows if r.mu == 2.0] == [PhaseRegion.EXCEPTIONAL]
 
 
@@ -167,19 +179,24 @@ def test_kernel_masks_excluded_points():
 
 def test_a_window_wider_than_the_grid_masks_every_row():
     grid = _linspace(0.0, 4.0, 41)
+    blocks = []
     for n in (0, 3):
-        assert closed_forms(5.0, 1.0, n, grid, 1.0, 1e308) == ClosedForms(b"\x20" * 41, [])
-    buffer = io.StringIO()
-    emit(SweepSpec(5.0, 1.0, 1.0, (0, 3), 0.0, 4.0, 41, 1e308), "csv", buffer)
-    rows = [line.split(",") for line in buffer.getvalue().splitlines()[1:]]
+        columns = closed_forms(5.0, 1.0, n, grid, 1.0, 1e308)
+        assert columns == ClosedForms(b"\x20" * 41, [])
+        blocks.append(SweepBlock(n, critical_coupling(ModelParams(5.0, 1.0, 0.0), n), array("d", grid), 1.0, columns))
+    rows = [line.split(",") for line in render_csv(blocks).splitlines()[1:]]
     assert len(rows) == 2 * 41
     assert all(row[3] == "Exceptional" and row[5:] == ["", "", "", "", "false"] for row in rows)
 
 
 def test_the_narrowest_window_masks_only_the_row_at_mu_c():
     # The grid's step is 0.1, so rows 10 and 20 are exactly mu_c of n = 3 and of n = 0.
+    grid = _linspace(0.0, 4.0, 41)
+    rows = [row for n in (0, 3) for row in _kernel_rows(5.0, 1.0, n, grid, 1.0, 0.0)]
+    assert [(r.n, r.mu) for r in rows if r.region is PhaseRegion.EXCEPTIONAL] == [(0, 2.0), (3, 1.0)]
+    # The sweep's own window, 1e-6 here, masks the same two rows.
     argv = ["--alpha", "5", "--homega", "1", "sweep", "--tau", "1", "--subspaces", "0", "3"]
-    rows = cli_rows(*argv, "--mu-min", "0", "--mu-max", "4", "--steps", "41", "--ep-window", "0")
+    rows = cli_rows(*argv, "--mu-min", "0", "--mu-max", "4", "--steps", "41")
     assert [(r.n, r.mu) for r in rows if r.region is PhaseRegion.EXCEPTIONAL] == [(0, 2.0), (3, 1.0)]
 
 

@@ -1,16 +1,21 @@
 """The scaling relation of the production path.
 
-The model is homogeneous of degree 1: scaling alpha, homega, mu, tau and
-ep_window by the same lambda leaves Z, S and C_v unchanged and multiplies F
-by lambda.  For lambda a power of two every scaled input is exact, so a
-sweep must reproduce the lambda = 1 sweep bit for bit.  The phase rule's
-Exceptional band is relative to delta**2 above its subnormal floor, so this
-holds, right up to mu_c, at every lambda where delta**2 and each mu**2 stay
-normal doubles.
+The model is homogeneous of degree 1: scaling alpha, homega, mu and tau by
+the same lambda leaves Z, S and C_v unchanged and multiplies F by lambda.
+For lambda a power of two every scaled input is exact, so a sweep must
+reproduce the lambda = 1 sweep bit for bit, and so must the CLI's text but
+for the columns that scale.  The phase rule's Exceptional band is relative
+to delta**2 above its subnormal floor, and a sweep's mask is EP_WINDOW *
+|delta| around each mu_c, so this holds, right up to mu_c, at every lambda
+where delta**2 and each mu**2 stay normal doubles.
 """
+
+import contextlib
+import io
 
 import pytest
 
+from spinosc.cli import main
 from spinosc.sweep import CSV_HEADER, SweepSpec, render_csv, run_sweep
 from spinosc.thermo import REGIONS, closed_forms, row_kind
 
@@ -21,9 +26,19 @@ SCALED_COLUMNS = [CSV_HEADER.split(",").index(name) for name in ("Z", "S", "Cv",
 
 def _sweep(scale, tau):
     """The figure grid, every energy times scale: its blocks and its CSV."""
-    spec = SweepSpec(5.0 * scale, 1.0 * scale, tau * scale, (0, 1, 2, 5), 0.0, 4.0 * scale, 161, 1e-6 * scale)
+    spec = SweepSpec(5.0 * scale, 1.0 * scale, tau * scale, (0, 1, 2, 5), 0.0, 4.0 * scale, 161)
     blocks = run_sweep(spec)
     return blocks, render_csv(blocks)
+
+
+def _cli_sweep(scale, mu_min, mu_max, steps):
+    """The CSV of a CLI sweep of subspace 0 at alpha 5, homega 1 and tau 5, every energy times scale."""
+    energies = [repr(value * scale) for value in (5.0, 1.0, 5.0, mu_min, mu_max)]
+    argv = ["--alpha", energies[0], "--homega", energies[1], "sweep", "--tau", energies[2]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--mu-min", energies[3], "--mu-max", energies[4], "--steps", str(steps)]) == 0
+    return out.getvalue()
 
 
 def _bits(value):
@@ -83,3 +98,27 @@ def test_scaling_holds_up_to_mu_c_with_no_ep_window(k, tau):
     codes, rows = _window_free(1.0, tau)
     assert {row_kind(code)[0] for code in codes} == set(REGIONS)
     assert _window_free(2.0**k, tau) == (codes, rows)
+
+
+def _column(text, name):
+    return [line.split(",")[CSV_HEADER.split(",").index(name)] for line in text.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_cli_sweep_masks_the_same_rows_at_every_scale(k):
+    # Rows 0, 1, 2, 3 and 4 times scale, with mu_c = 2 * scale: the mask, 1e-6 at scale 1, scales with mu_c,
+    # so only the row at mu_c is Exceptional however close the rows are in absolute terms.
+    scale = 2.0**k
+    text, scaled_text = _cli_sweep(1.0, 0.0, 4.0, 5), _cli_sweep(scale, 0.0, 4.0, 5)
+    assert _column(text, "region") == ["Unbroken", "Unbroken", "Exceptional", "Broken", "Broken"]
+    assert _csv_columns(scaled_text) == _csv_columns(text)
+    free_energies = [row.free_energy for row in rows_of(run_sweep(SweepSpec(5.0, 1.0, 5.0, (0,), 0.0, 4.0, 5)))]
+    assert _column(scaled_text, "F") == ["" if f is None else "%.12g" % (scale * f) for f in free_energies]
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_cli_sweep_masks_a_row_just_past_mu_c_at_every_scale(k):
+    # mu_c * (1 + 1e-7) lies 2e-7 * scale past mu_c = 2 * scale, inside the mask of 1e-6 * scale.
+    mu = 2.0 * (1.0 + 1e-7)
+    assert _column(_cli_sweep(1.0, mu, 4.0, 2), "region")[0] == "Exceptional"
+    assert _column(_cli_sweep(2.0**k, mu, 4.0, 2), "region")[0] == "Exceptional"

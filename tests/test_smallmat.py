@@ -84,6 +84,23 @@ def test_eig2_scalar_matrix_is_not_defective():
     assert np.allclose(pairs[1].right_vector, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("k", [-60, -40, -20, 20, 40])
+def test_eig2_eigenvalues_scale_bit_for_bit_with_the_block(k):
+    # Both of eig2's tests are relative to the entries, so a power-of-two
+    # scale is exact: no absolute floor calls a small block defective.
+    scale = 2.0**k
+    want = [pair.value for pair in eig2(build_block(ModelParams(5.0, 1.0, 1.0), 0))]
+    got = [pair.value for pair in eig2(build_block(ModelParams(5.0 * scale, scale, scale), 0))]
+    assert got == [scale * value for value in want]
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-1000, 5e-324])
+def test_eig2_jordan_block_is_defective_at_every_scale(scale):
+    # disc == 0 with a zero band: the subnormal floor keeps it defective, with no 0/0 for lambda_2.
+    with pytest.raises(DefectiveMatrix):
+        eig2(np.array([[0.0, scale], [0.0, 0.0]]))
+
+
 def test_expm2_zero_matrix():
     assert np.allclose(expm2(np.zeros((2, 2)), 3.7), np.eye(2), rtol=0, atol=1e-15)
 

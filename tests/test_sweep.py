@@ -11,6 +11,7 @@ from spinosc.model import ModelParams
 from spinosc.spectral import PhaseRegion, classify
 from spinosc.sweep import (
     CSV_HEADER,
+    EP_WINDOW,
     MAX_ROWS,
     SweepBlock,
     SweepSpec,
@@ -85,7 +86,7 @@ def test_endpoint_rows_match_thermo_point():
         dict(steps=1),
         dict(steps=2.5),
         dict(mu_min=2.0, mu_max=1.0),
-        dict(ep_window=-1.0),
+        dict(mu_min=float("nan")),
         dict(tau=0.0),
         dict(subspaces=()),
         dict(subspaces=(-1,)),
@@ -112,10 +113,8 @@ def test_spec_checks_tau_by_the_thermo_rule(tau):
 
 def test_spec_is_a_named_tuple_of_its_fields():
     spec = _spec(subspaces=[3, 0])
-    assert spec == (5.0, 1.0, 5.0, (0, 3), 0.0, 4.0, 9, 1e-6)
-    assert repr(spec) == (
-        "SweepSpec(alpha=5.0, homega=1.0, tau=5.0, subspaces=(0, 3), mu_min=0.0, mu_max=4.0, steps=9, ep_window=1e-06)"
-    )
+    assert spec == (5.0, 1.0, 5.0, (0, 3), 0.0, 4.0, 9)
+    assert repr(spec) == "SweepSpec(alpha=5.0, homega=1.0, tau=5.0, subspaces=(0, 3), mu_min=0.0, mu_max=4.0, steps=9)"
 
 
 def test_replace_and_make_check_like_the_constructor():
@@ -125,23 +124,28 @@ def test_replace_and_make_check_like_the_constructor():
     with pytest.raises(ValueError, match=r"^steps must be an integer >= 2, got 1$"):
         spec._replace(steps=1)
     with pytest.raises(ValueError, match="row cap"):
-        SweepSpec._make([*spec[:6], MAX_ROWS + 1, spec.ep_window])
+        SweepSpec._make([*spec[:6], MAX_ROWS + 1])
     replaced = spec._replace(subspaces=[3, 0])
     assert type(replaced) is SweepSpec and replaced.subspaces == (0, 3)
 
 
 def test_spec_stores_the_canonical_grid():
-    spec = SweepSpec(5, 1, 5, [5, 0, 2, 0, 5, 1], -0.0, 4, 161, 0)
-    assert spec == (5.0, 1.0, 5.0, (0, 1, 2, 5), 0.0, 4.0, 161, 0.0)
-    assert all(type(value) is float for value in spec[:3] + spec[4:6] + spec[7:])
+    spec = SweepSpec(5, 1, 5, [5, 0, 2, 0, 5, 1], -0.0, 4, 161)
+    assert spec == (5.0, 1.0, 5.0, (0, 1, 2, 5), 0.0, 4.0, 161)
+    assert all(type(value) is float for value in spec[:3] + spec[4:6])
     assert math.copysign(1.0, spec.mu_min) == 1.0
-    assert spec == _spec(subspaces=(0, 1, 2, 5), steps=161, ep_window=0.0)
+    assert spec == _spec(subspaces=(0, 1, 2, 5), steps=161)
+
+
+def test_ep_window_is_1e_6_at_the_default_detuning():
+    # |homega - alpha| = 4 at the defaults, and 2.5e-7 * 4.0 rounds to the very double 1e-6, the mask's old width.
+    assert EP_WINDOW * 4.0 == 1e-6
 
 
 def test_region_matches_classify_outside_window():
     spec = _spec(steps=41)
     for row in sweep_rows(spec):
-        if abs(row.mu - row.mu_c) > spec.ep_window:
+        if abs(row.mu - row.mu_c) > EP_WINDOW * abs(spec.homega - spec.alpha):
             assert row.region is classify(ModelParams(5, 1, row.mu), row.n)
         else:
             assert row.region is PhaseRegion.EXCEPTIONAL
