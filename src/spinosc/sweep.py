@@ -41,7 +41,7 @@ from numbers import Integral
 from typing import NamedTuple, NoReturn
 
 from .model import ModelParams, check_subspace_index
-from .spectral import critical_coupling, phase
+from .spectral import critical_coupling, phase_rule
 from .thermo import ClosedForms, _check_tau, closed_forms, row_kind
 
 __all__ = ["SweepSpec", "SweepBlock", "run_sweep", "emit", "CSV_HEADER", "MAX_ROWS", "EP_WINDOW"]
@@ -93,14 +93,14 @@ class SweepSpec(namedtuple("SweepSpec", "alpha homega tau subspaces mu_min mu_ma
             raise ValueError(f"mu_min must be nonnegative, got {mu_min}")
         if not mu_min < mu_max:
             raise ValueError(f"mu_min must be below mu_max, got [{mu_min}, {mu_max}]")
-        # ModelParams checks alpha and homega; |disc| peaks at mu_max in the top subspace.
-        params = ModelParams(alpha, homega, mu_max)
-        phase(params, subspaces[-1])
         if isinstance(steps, bool) or not isinstance(steps, Integral) or steps < 2:
             raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+        mu_min = float(mu_min) + 0.0  # + 0.0 turns -0.0 into 0.0
+        # ModelParams checks alpha and homega; |disc| peaks in the top subspace at mu_max or _units' last point.
+        params, width = ModelParams(alpha, homega, mu_max), (float(mu_max) - mu_min) / (steps - 1)
+        phase_rule(params.delta, subspaces[-1])(max(params.mu, mu_min + (steps - 1) * width))
         if len(subspaces) * steps > MAX_ROWS:
             raise ValueError(f"{len(subspaces)} subspaces x {steps} steps exceeds the {MAX_ROWS} row cap")
-        mu_min = float(mu_min) + 0.0  # + 0.0 turns -0.0 into 0.0
         return super().__new__(cls, params.alpha, params.homega, tau, subspaces, mu_min, params.mu, steps)
 
     @classmethod

@@ -310,22 +310,22 @@ def thermo_point(params: ModelParams, n: int, tau: float) -> ThermoPoint:
     return ThermoPoint(n, params.mu, tau, region, z, f, s, cv, z is not None and z > 0.0)
 
 
-def finite_diff_check(params: ModelParams, n: int, tau: float, step: float) -> DerivativeCheck:
-    """Centered-difference ln Z derivatives against the kernel's S and C_v.
+def finite_diff_check(params: ModelParams, n: int, tau: float) -> DerivativeCheck:
+    """Centered-difference ln Z derivatives, with step 1e-4 * tau, against the kernel's S and C_v.
 
     The differences take the matrix-route Z at the three stencil points; the
     analytic derivatives come from the kernel's F, S and C_v at tau, as
     d1 = U/tau^2 = (F/tau + S)/tau and d2 = (C_v/tau - 2 d1)/tau.  Raises
     StencilCrossesSingularity when any stencil Z is negative (the log is
     about to cross a cos zero), OverflowError where a stencil Z underflows to
-    0 or the kernel leaves F, S or C_v undefined, ValueError when tau - step
-    leaves the domain.
+    0 or the kernel leaves F, S or C_v undefined, ArithmeticError where the
+    step underflows to 0 or tau + step overflows.
     """
     n = check_subspace_index(n)
     tau = _check_tau(tau)
-    step = float(step)
-    if not math.isfinite(step) or step <= 0.0 or tau - step <= 0.0:
-        raise ValueError(f"step must satisfy 0 < step < tau, got {step}")
+    step = 1e-4 * tau
+    if step == 0.0 or math.isinf(tau + step):
+        raise ArithmeticError(f"the stencil tau +- 1e-4 tau around tau = {tau} leaves double range")
 
     samples = [partition_function(params, n, t) for t in (tau - step, tau, tau + step)]
     if any(z < 0.0 for z in samples):

@@ -1,9 +1,10 @@
-"""Self-contained verification suite over a built-in parameter grid.
+"""Self-contained verification suite over a built-in grid in the model's own units.
 
 Each check contrasts an implementation route with an independent one
 (closed form vs. eigenvectors, analytic derivatives vs. finite differences,
 block spectra vs. the assembled truncated matrix) and reports the worst
-residual seen.
+residual seen.  Temperatures are multiples of max(|homega - alpha|, homega),
+couplings fractions of mu_c, bounds relative: a 2**k rescaling prints alike.
 
 One rule judges every check.  A check is its points and a residual
 function, evaluated point by point with numpy's overflow, invalid and
@@ -95,6 +96,9 @@ def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list
     params = ModelParams(alpha, homega, 0.0)
     if params.delta == 0.0:
         raise ValueError("alpha == homega: every subspace coalesces at mu = 0, so verify has no coupling grid")
+    scale = max(abs(params.delta), params.homega)
+    if 0.125 * scale == 0.0:
+        raise ValueError(f"max(|homega - alpha|, homega) = {scale:g} is too small for verify's temperature grid")
     subspaces = range(6)
     mu_c = [critical_coupling(params, n) for n in subspaces]
     for n in subspaces:  # raises where the discriminant overflows at the grid's largest coupling
@@ -120,22 +124,22 @@ def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list
 
     def dual_route(n, mu, tau):
         params = ModelParams(alpha, homega, mu)
-        # Z outside double range (None) or near a zero of the broken cos has
-        # no relative error to compare.
+        # A Z out of double range (None), or below 1e-6 near a cos zero or deeply damped, is not compared.
         z_closed = thermo_point(params, n, tau).z
         if z_closed is None or abs(z_closed) < 1e-6:
             return None
         return abs(partition_function(params, n, tau) - z_closed) / abs(z_closed)
 
     def stencil(n, mu, tau):
-        report = finite_diff_check(ModelParams(alpha, homega, mu), n, tau, 1e-4 * tau)
+        report = finite_diff_check(ModelParams(alpha, homega, mu), n, tau)
         return max(report.rel_err_d1, report.rel_err_d2)
 
     def truncated_spectrum(mu):
         try:
-            return block_decomposition_check(ModelParams(alpha, homega, mu), cutoff).max_deviation
+            report = block_decomposition_check(ModelParams(alpha, homega, mu), cutoff)
         except ValueError as exc:  # a block's discriminant overflows, past the subspaces refused above
             raise OverflowError(exc) from None
+        return report.max_deviation / float(np.max(np.abs(report.computed)))
 
     @functools.cache
     def full_space(mu):
@@ -151,7 +155,7 @@ def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list
 
     checks = [
         ("sigma-z pseudo-hermiticity (blocks)", 1e-12, "max residual", "the block at n = {}, mu = {:.12g}",
-         [(n, mu) for n in subspaces for mu in (0.0, 0.5, 1.0, 2.0, 3.0)], sigma_z),
+         [(n, f * mu_c[0]) for n in subspaces for f in (0.0, 0.25, 0.5, 1.0, 1.5)], sigma_z),
         ("coalescence location (exact discriminant sign vs closed)", 3.0, "max ulps", "the discriminant at n = {}",
          [(n,) for n in subspaces], lambda n: _ulps_from_root(params.delta, n, mu_c[n])),
         ("metric routes agree (eigenvectors vs closed)", 1e-10, "max |diff|", "the metric at n = {}, mu = {:.12g}",
@@ -160,19 +164,20 @@ def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list
          grid, intertwines),
         ("partition function dual route", 1e-10, "max relative |diff|",
          "the matrix route at n = {}, mu = {:.12g}, tau = {:g}",
-         [(n, mu, tau) for n, mu, _ in grid for tau in (0.5, 1.0, 5.0, 20.0)], dual_route),
+         [(n, mu, t * scale) for n, mu, _ in grid for t in (0.125, 0.25, 1.25, 5.0)], dual_route),
         ("log-derivative finite differences", 1e-6, "max relative error",
          "the stencil at n = {}, mu = {:.12g}, tau = {:g}",
-         [(n, f * mu_c[n], tau) for n in (0, 2, 5) for f, tau in ((0.5, 1.0), (0.6, 1.5), (1.25, 2.5))], stencil),
+         [(n, f * mu_c[n], t * scale) for n in (0, 2, 5) for f, t in ((0.5, 0.25), (0.6, 0.375), (1.25, 0.625))],
+         stencil),
         # Couplings that sit exactly on a block coalescence are left out: a
         # defective block's eigenvalues carry sqrt(eps)-level conditioning,
         # which no dense solver can beat.  mu_c of subspace n is mu_c[0] /
         # sqrt(n + 1), and no fraction below is 1 / sqrt(n + 1).
-        ("truncated spectrum matches block union", 1e-8, "max deviation", "the truncated spectrum at mu = {:.12g}",
-         [(f * mu_c[0],) for f in (0.0, 0.3, 0.65, 1.5)], truncated_spectrum),
+        ("truncated spectrum matches block union", 1e-12, "max deviation / spectral radius",
+         "the truncated spectrum at mu = {:.12g}", [(f * mu_c[0],) for f in (0.0, 0.3, 0.65, 1.5)], truncated_spectrum),
         ("full-space symmetries (grading, sigma-z, parity)", 1e-12, "max relative residual",
-         "the full space at mu = {:.12g}", [(1.0,)], symmetries),
-        ("full-space PT asymmetry", 1.0, "0.1 ||H|| / ||H_pt - H||", "the full space at mu = {:.12g}", [(1.0,)],
-         pt_asymmetry),
+         "the full space at mu = {:.12g}", [(0.5 * mu_c[0],)], symmetries),
+        ("full-space PT asymmetry", 1.0, "0.1 ||H|| / ||H_pt - H||", "the full space at mu = {:.12g}",
+         [(0.5 * mu_c[0],)], pt_asymmetry),
     ]
     return [_bounded(*check) for check in checks]

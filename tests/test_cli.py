@@ -10,7 +10,8 @@ import sys
 import mpmath
 import pytest
 
-from spinosc import verify
+from spinosc import fullspace, smallmat, thermo, verify
+from spinosc.cli import main
 from spinosc.spectral import critical_coupling
 
 
@@ -219,57 +220,83 @@ def test_verify_block_check_takes_no_coupling_at_a_coalescence(alpha):
     assert "PASS truncated spectrum matches block union" in result.stdout, result.stdout
 
 
-def test_verify_skips_closed_z_outside_double_range():
-    # At alpha = 1000 the closed Z of some dual-route points overflows; they
-    # are skipped rather than compared.
-    result = run_cli("--alpha", "1000", "verify", "--cutoff", "8")
-    assert result.returncode in (0, 4)
-    assert "Traceback" not in result.stderr
-    assert "partition function dual route" in result.stdout
+def run_verify_in_process(capsys, *args):
+    """(exit status, stdout lines) of `spinosc *args verify --cutoff 8` run in this process, stderr empty."""
+    status = main([*args, "verify", "--cutoff", "8"])
+    out, err = capsys.readouterr()
+    assert err == ""
+    return status, out.splitlines()
 
 
-def test_verify_fails_a_stencil_it_cannot_evaluate():
-    # At alpha = 12 the broken-region Z changes sign on one finite-difference
-    # stencil: the check fails there instead of raising.
-    result = run_cli("--alpha", "12", "verify", "--cutoff", "8")
-    assert result.returncode == 4
-    assert result.stderr == ""
-    failed = [line for line in result.stdout.splitlines() if line.startswith("FAIL")]
-    assert len(failed) == 1
-    assert failed[0].startswith("FAIL log-derivative finite differences: cannot evaluate the stencil at n = 0, ")
+def test_verify_skips_closed_z_outside_double_range(monkeypatch):
+    # On verify's scale-free grid every closed Z is in double range, so one
+    # subspace's is taken out of it: those points are skipped, not compared.
+    real = verify.thermo_point
+    monkeypatch.setattr(verify, "thermo_point", lambda params, n, tau: real(params, n, tau)._replace(z=None)
+                        if n == 0 else real(params, n, tau))
+    check = {result.name: result for result in verify.run_checks(cutoff=2)}["partition function dual route"]
+    assert check.passed
+
+
+def test_verify_skips_dual_route_points_near_a_zero_of_z(monkeypatch):
+    # Where homega sets the temperature scale (|homega - alpha| < homega), the
+    # damping exp(-(2n+1) homega / 2 tau) takes some Z below 1e-6.
+    real, small = verify.thermo_point, []
+
+    def spy(params, n, tau):
+        point = real(params, n, tau)
+        small.append(abs(point.z) < 1e-6)
+        return point
+
+    monkeypatch.setattr(verify, "thermo_point", spy)
+    check = {result.name: result for result in verify.run_checks(0.5, 1.0, cutoff=2)}["partition function dual route"]
+    assert check.passed and 0 < sum(small) < len(small)
+
+
+def test_verify_fails_a_stencil_it_cannot_evaluate(monkeypatch, capsys):
+    # Z < 0 on a stencil: the lower point of the first stencil (n = 0, mu = 1,
+    # tau = 1) sees a negative matrix-route Z, and the check fails there
+    # instead of raising.  The dual route holds its own partition_function.
+    real = thermo.partition_function
+    monkeypatch.setattr(thermo, "partition_function", lambda params, n, tau: (-1.0 if tau < 1.0 else 1.0)
+                        * real(params, n, tau))
+    status, lines = run_verify_in_process(capsys)
+    assert status == 4
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL log-derivative finite differences: cannot evaluate the stencil at n = 0, mu = 1, tau = 1: "
+        "partition function negative on the stencil around tau = 1.0"]
 
 
 @pytest.mark.parametrize(
     "alpha,failed",
     [
-        ("5000", {"log-derivative finite differences": "cannot evaluate the stencil at n = 0, mu = 1249.75, tau = 1: "
-                  "exp(-1.000100010001 * m) leaves double range"}),
-        ("1e10", {"partition function dual route": None,
-                  "log-derivative finite differences": "cannot evaluate the stencil at n = 0, mu = 2499999999.75, "
-                  "tau = 1: exp(-1.000100010001 * m) leaves double range",
-                  "truncated spectrum matches block union": None}),
-        ("-1e3", {"log-derivative finite differences": None}),
-        # Z is in range at n = 2, mu = mu_c/5, tau = 20, but a term of its
-        # matrix exponential is not.
-        ("28981.14427316356", {"partition function dual route": "cannot evaluate the matrix route at n = 2, "
-                               "mu = 1673.16940973, tau = 20: exp(-0.05 * m) leaves double range",
-                               "log-derivative finite differences": None}),
+        ("5000", {"log-derivative finite differences": "cannot evaluate the stencil at n = 0, mu = 1249.75, "
+                  "tau = 1249.75: exp(-0.8000800240040009 * m) leaves double range"}),
+        ("1e10", {"log-derivative finite differences": "cannot evaluate the stencil at n = 0, mu = 2499999999.75, "
+                  "tau = 2.5e+09: exp(-3.99960004039596e-07 * m) leaves double range"}),
+        ("-1e3", {"log-derivative finite differences": "cannot evaluate the stencil at n = 0, mu = 250.25, "
+                  "tau = 250.25: exp(-3.99560443556044 * m) leaves double range"}),
+        ("28981.14427316356", {"log-derivative finite differences": "cannot evaluate the stencil at n = 0, "
+                               "mu = 7245.03606829, tau = 7245.04: exp(-0.13801173666687866 * m) leaves double "
+                               "range"}),
     ],
 )
-def test_verify_fails_where_the_matrix_exponential_leaves_double_range(alpha, failed):
+def test_verify_fails_where_the_matrix_exponential_leaves_double_range(monkeypatch, capsys, alpha, failed):
     # expm2 raises OverflowError instead of printing numpy's warnings; every
     # check that reaches it fails with one line.  stderr stays empty with
-    # warnings as errors.
-    result = run_cli(f"--alpha={alpha}", "verify", "--cutoff", "8")
-    assert (result.returncode, result.stderr) == (4, "")
-    lines = [line[5:].split(": ", 1) for line in result.stdout.splitlines() if line.startswith("FAIL ")]
-    assert {name for name, _ in lines} == set(failed)
-    for name, detail in lines:
-        assert failed[name] in (None, detail)
+    # warnings as errors.  The scale-free grid keeps every term in range, so
+    # the overflow is forced: expm2 takes 1000 times its scale at the top of
+    # the first stencil, tau = (1 + 1e-4) * max(|homega - alpha|, homega) / 4.
+    real, top = smallmat.expm2, 0.25 * max(abs(1.0 - float(alpha)), 1.0)
+    monkeypatch.setattr(smallmat, "expm2", lambda m, scale: real(m, 1e3 * scale if top < -1.0 / scale < 1.001 * top
+                                                                   else scale))
+    status, lines = run_verify_in_process(capsys, f"--alpha={alpha}")
+    assert status == 4
+    assert dict(line[5:].split(": ", 1) for line in lines if line.startswith("FAIL ")) == failed
 
 
 def test_verify_never_passes_a_check_whose_stencils_were_all_skipped(monkeypatch):
-    def unevaluable(params, n, tau, step):
+    def unevaluable(params, n, tau):
         raise OverflowError("out of range")
 
     monkeypatch.setattr(verify, "finite_diff_check", unevaluable)
@@ -310,6 +337,52 @@ def test_verify_names_the_first_point_whose_metric_is_not_unimodular(monkeypatch
                                    "positive definite with unit determinant")
 
 
+@pytest.mark.parametrize("alpha", ["12", "50", "1000", "5000", "-5", "7", "-1000", "1e10", "3e16",
+                                   "0.99", "0.999", "1.01"])
+def test_verify_passes_from_far_detuning_to_near_resonance(capsys, alpha):
+    # Temperatures in units of max(|homega - alpha|, homega): in units of
+    # |homega - alpha| alone, tau would fall far below homega near resonance
+    # (the last three), and Z would underflow.
+    status, lines = run_verify_in_process(capsys, f"--alpha={alpha}")
+    assert status == 0, [line for line in lines if line.startswith("FAIL")]
+
+
+def _half_gap_scaled(real, params, n):
+    # 8.2e-9 apart at cutoff 8, within an absolute 1e-8, but 7.4e-10 of the spectral radius.
+    spectrum, centre = real(params, n), 0.5 * (2 * n + 1) * params.homega
+    return spectrum._replace(e_plus=centre + (spectrum.e_plus - centre) * (1 + 1e-9),
+                             e_minus=centre + (spectrum.e_minus - centre) * (1 + 1e-9))
+
+
+def _level_shifted(real, params, n):
+    # sqrt(n + 2) for sqrt(n + 1) in the gap: subspace n + 1's gap around subspace n's centre.
+    spectrum = real(params, n + 1)
+    return spectrum._replace(e_plus=spectrum.e_plus - params.homega, e_minus=spectrum.e_minus - params.homega)
+
+
+def _centre_shifted(real, params, n):
+    spectrum = real(params, n)
+    return spectrum._replace(e_plus=spectrum.e_plus + 1e-7 * params.homega,
+                             e_minus=spectrum.e_minus + 1e-7 * params.homega)
+
+
+@pytest.mark.parametrize("mutate", [_half_gap_scaled, _level_shifted, _centre_shifted])
+def test_verify_truncated_spectrum_catches_a_wrong_block_spectrum(monkeypatch, mutate):
+    real = fullspace.block_spectrum
+    monkeypatch.setattr(fullspace, "block_spectrum", lambda params, n: mutate(real, params, n))
+    check = verify.run_checks(cutoff=8)[6]
+    assert check.name == "truncated spectrum matches block union" and not check.passed
+
+
+@pytest.mark.parametrize("alpha,homega", [("0", "5e-324"), ("-5e-324", "5e-324"), ("0", "1e-323")])
+def test_verify_refuses_a_temperature_grid_that_rounds_to_zero(alpha, homega):
+    # The lowest grid temperature, max(|homega - alpha|, homega) / 8, is 0 here.
+    result = run_cli(f"--alpha={alpha}", f"--homega={homega}", "verify")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: max(|homega - alpha|, homega) = ") and result.stderr.count("\n") == 1
+    assert result.stderr.endswith(" is too small for verify's temperature grid\n")
+
+
 @pytest.mark.parametrize("alpha,homega", [(1.0, 1.0), (1e-300, 1e-300)])
 def test_verify_refuses_zero_detuning(alpha, homega):
     with pytest.raises(ValueError, match="^alpha == homega: every subspace coalesces at mu = 0"):
@@ -329,12 +402,14 @@ def test_verify_refuses_a_discriminant_that_overflows_on_its_grid(alpha, homega)
     "args,name,detail",
     [
         (("--alpha", "5e153", "verify", "--cutoff", "4"), "full-space symmetries (grading, sigma-z, parity)",
-         "cannot evaluate the full space at mu = 1: overflow encountered in dot"),
+         "cannot evaluate the full space at mu = 1.25e+153: overflow encountered in dot"),
         (("--alpha", "5e-310", "--homega", "1e-310", "verify"), "metric routes agree (eigenvectors vs closed)",
          "cannot evaluate the metric at n = 0, mu = 4e-311: metric is singular at mu = 4e-311 "
          "(coalescence for subspace n = 0)"),
         (("--alpha", "5e153", "verify", "--cutoff", "4"), "full-space PT asymmetry",
-         "cannot evaluate the full space at mu = 1: overflow encountered in dot"),
+         "cannot evaluate the full space at mu = 1.25e+153: overflow encountered in dot"),
+        (("--alpha", "5e153", "verify", "--cutoff", "4"), "sigma-z pseudo-hermiticity (blocks)",
+         "cannot evaluate the block at n = 5, mu = 3.75e+153: overflow encountered in dot"),
     ],
 )
 def test_verify_fails_the_first_point_an_oracle_cannot_evaluate(args, name, detail):
@@ -569,6 +644,19 @@ def test_rejected_sweep_opens_no_output(tmp_path):
     result = run_cli("sweep", "--mu-max", "1e300", "--output", str(new))
     assert result.returncode == 2 and result.stderr.startswith("error: ")
     assert not new.exists()
+
+
+@pytest.mark.parametrize("mu_min,steps", [("1.709958252995875e+153", 518), ("3.1780093832669478e+153", 26279)])
+def test_sweep_whose_last_coupling_rounds_past_mu_max_into_overflow_opens_no_output(tmp_path, mu_min, steps):
+    # mu_min + (steps - 1) * width rounds to 6.703903964971299e+153, one ulp above
+    # mu_max, where the discriminant of subspace 0 overflows though it does not at
+    # mu_max.  The second grid has two parts, so it would fork a worker.
+    target = tmp_path / "o.csv"
+    result = run_cli("sweep", "--subspaces", "0", "--mu-min", mu_min, "--mu-max", "6.703903964971298e+153",
+                     "--steps", str(steps), "--output", str(target))
+    assert result.returncode == 2
+    assert result.stderr == "error: the discriminant of subspace 0 overflows: alpha, homega or mu is too large\n"
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("format", ["csv", "json"])

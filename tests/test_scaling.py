@@ -18,6 +18,7 @@ import pytest
 from spinosc.cli import main
 from spinosc.sweep import CSV_HEADER, SweepSpec, render_csv, run_sweep
 from spinosc.thermo import REGIONS, closed_forms, row_kind
+from spinosc.verify import run_checks
 
 from rowview import rows_of
 
@@ -122,3 +123,11 @@ def test_cli_sweep_masks_a_row_just_past_mu_c_at_every_scale(k):
     mu = 2.0 * (1.0 + 1e-7)
     assert _column(_cli_sweep(1.0, mu, 4.0, 2), "region")[0] == "Exceptional"
     assert _column(_cli_sweep(2.0**k, mu, 4.0, 2), "region")[0] == "Exceptional"
+
+
+@pytest.mark.parametrize("k,cutoff", [(-40, 8), (-20, 8), (20, 8), (40, 8), (20, 127)])
+def test_verify_reports_the_same_checks_at_every_scale(k, cutoff):
+    # verify's temperatures are multiples of max(|homega - alpha|, homega), its
+    # couplings fractions of mu_c, and its bounds relative: names, verdicts and
+    # residuals do not move.
+    assert run_checks(5.0 * 2.0**k, 2.0**k, cutoff) == run_checks(5.0, 1.0, cutoff)

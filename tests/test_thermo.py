@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -197,7 +198,7 @@ def test_thermo_point_negative_z_flags():
 
 @pytest.mark.parametrize("mu,n,tau", [(1.0, 0, 1.0), (0.0, 0, 1.0), (2.5, 0, 2.0), (0.6, 3, 1.4)])
 def test_finite_difference_agreement(mu, n, tau):
-    report = finite_diff_check(ModelParams(**FIG, mu=mu), n, tau, 1e-4 * tau)
+    report = finite_diff_check(ModelParams(**FIG, mu=mu), n, tau)
     assert report.rel_err_d1 < 1e-6
     assert report.rel_err_d2 < 1e-6
 
@@ -205,7 +206,7 @@ def test_finite_difference_agreement(mu, n, tau):
 def test_finite_difference_stencil_crossing():
     # bt = 3/2 at mu=2.5, n=0; tau just below 1.5/(pi/2) puts cos past its zero.
     with pytest.raises(StencilCrossesSingularity):
-        finite_diff_check(ModelParams(**FIG, mu=2.5), 0, 0.954, 1e-5)
+        finite_diff_check(ModelParams(**FIG, mu=2.5), 0, 0.954)
 
 
 def test_finite_difference_underflowed_z_is_an_overflow_error():
@@ -214,15 +215,39 @@ def test_finite_difference_underflowed_z_is_an_overflow_error():
     # change.  numpy's warnings from the matrix-route stencil are silenced.
     mu = 0.5 * critical_coupling(ModelParams(**FIG, mu=0.0), 3000)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError) as info:
-        finite_diff_check(ModelParams(**FIG, mu=mu), 3000, 0.01, 1e-6)
+        finite_diff_check(ModelParams(**FIG, mu=mu), 3000, 0.01)
     assert str(info.value) == "partition function underflows to 0 on the stencil around tau = 0.01"
 
 
-def test_finite_difference_step_validation():
-    with pytest.raises(ValueError):
-        finite_diff_check(ModelParams(**FIG, mu=1.0), 0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        finite_diff_check(ModelParams(**FIG, mu=1.0), 0, 1.0, 0.0)
+@pytest.mark.parametrize("tau", [5e-324, 1e-320, 1.7976931348623157e308])
+def test_finite_difference_stencil_outside_double_range_is_an_arithmetic_error(tau):
+    # The step 1e-4 * tau underflows to 0 at a subnormal tau, and tau + step
+    # overflows at the largest double: the check names the stencil instead of
+    # dividing by zero or handing the matrix route an infinite tau.
+    with pytest.raises(ArithmeticError) as info:
+        finite_diff_check(ModelParams(**FIG, mu=1.0), 0, tau)
+    assert str(info.value) == f"the stencil tau +- 1e-4 tau around tau = {tau} leaves double range"
+
+
+@pytest.mark.parametrize("alpha", [-5.0, 7.0])
+def test_kernel_matches_mpmath_where_the_fixed_step_stencil_is_off(alpha):
+    # At n = 2, mu = 0.6 mu_c, tau = 1.5 the stencil with step 1e-4 tau puts
+    # d2 2.0e-5 off, while the kernel's F, S and C_v agree with 50-digit
+    # mpmath: the oracle's step, not the kernel, is at fault there.
+    n, tau = 2, 1.5
+    mu = 0.6 * critical_coupling(ModelParams(alpha, 1.0, 0.0), n)
+    point = thermo_point(ModelParams(alpha, 1.0, mu), n, tau)
+    with mpmath.workdps(50):
+        delta, t = 1 - mpmath.mpf(alpha), mpmath.mpf(tau)
+        d = mpmath.sqrt(delta**2 - 4 * mpmath.mpf(mu) ** 2 * (n + 1))
+
+        def log_z(t):
+            return mpmath.log(2 * abs(delta) / d) - (2 * n + 1) / (2 * t) + mpmath.log(mpmath.cosh(d / (2 * t)))
+
+        d1, d2 = mpmath.diff(log_z, t), mpmath.diff(log_z, t, 2)
+        exact = (-t * log_z(t), log_z(t) + t * d1, 2 * t * d1 + t * t * d2)
+        for value, reference in zip((point.free_energy, point.entropy, point.specific_heat), exact):
+            assert abs(value - reference) <= 1e-13 * abs(reference)
 
 
 @pytest.mark.parametrize("field", ["entropy", "specific_heat"])
@@ -241,7 +266,7 @@ def test_finite_difference_checks_the_kernels_s_and_cv(monkeypatch, field):
     monkeypatch.setattr("spinosc.thermo.closed_forms", skewed)
     worst = 0.0
     for mu, n, tau in [(1.0, 0, 1.0), (0.0, 0, 1.0), (2.5, 0, 2.0), (0.6, 3, 1.4)]:
-        report = finite_diff_check(ModelParams(**FIG, mu=mu), n, tau, 1e-4 * tau)
+        report = finite_diff_check(ModelParams(**FIG, mu=mu), n, tau)
         worst = max(worst, report.rel_err_d1, report.rel_err_d2)
     assert worst > 1e-6
 
@@ -252,20 +277,16 @@ def test_finite_difference_where_the_kernel_overflows_is_an_overflow_error():
     # on the stencil first, and expm2 says so.
     mu_c = critical_coupling(ModelParams(5000.0, 1.0, 0.0), 0)
     with pytest.raises(OverflowError) as info:
-        finite_diff_check(ModelParams(5000.0, 1.0, 0.5 * mu_c), 0, 1.0, 1e-4)
+        finite_diff_check(ModelParams(5000.0, 1.0, 0.5 * mu_c), 0, 1.0)
     assert str(info.value) == "exp(-1.000100010001 * m) leaves double range"
-    # At tau = 1e308 the stencil's matrix Z is ~14, but F = -tau ln Z leaves
-    # double range in the kernel.
-    with pytest.raises(OverflowError) as info:
-        finite_diff_check(ModelParams(5.0, 1.0, 1.98), 0, 1e308, 1e150)
-    assert str(info.value) == "F, S or C_v is undefined at mu = 1.98, n = 0, tau = 1e+308"
 
 
 def test_finite_difference_with_a_step_whose_square_leaves_double_range_names_the_stencil():
     # step**2 = 1e608 overflows; the second difference divides by the step
-    # twice, so the check reaches the kernel and names the point.
+    # twice, so the check reaches the kernel and names the point.  There the
+    # stencil's matrix Z is ~14, but F = -tau ln Z leaves double range.
     with pytest.raises(OverflowError) as info:
-        finite_diff_check(ModelParams(5.0, 1.0, 1.98), 0, 1e308, 1e304)
+        finite_diff_check(ModelParams(5.0, 1.0, 1.98), 0, 1e308)
     assert str(info.value) == "F, S or C_v is undefined at mu = 1.98, n = 0, tau = 1e+308"
 
 
