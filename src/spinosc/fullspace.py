@@ -2,8 +2,12 @@
 
 Oscillator levels 0..cutoff are retained; the basis interleaves spin inside
 level, index = 2*n + (0 for spin up, 1 for spin down), i.e.
-|0,+>, |0,->, |1,+>, |1,->, ...  Operators are assembled as Kronecker
-products osc (x) spin in that order.
+|0,+>, |0,->, |1,+>, |1,->, ...  H is assembled from the ladder and spin
+operators as Kronecker products osc (x) spin in that order.  The symmetry
+residuals act on its entries instead: sigma_z and the Fock parity are the
+sign vectors (1, -1, 1, -1, ...) and (-1)**n on both spins of level n, and
+the PT flip swaps the two spins of every level.  The model is not PT
+symmetric: H_pt - H = -alpha sigma_z + mu sigma_x (a^dag - a).
 
 Truncation cuts the raising edge out of the top level, so the invariant
 2x2 block starting at |cutoff,+> loses its partner state; spectral
@@ -30,7 +34,6 @@ __all__ = [
 
 # Spin operators in the order [+1/2, -1/2], as complex matrices once numpy holds them.
 _SIGMA_Z = [[1.0, 0.0], [0.0, -1.0]]
-_SIGMA_Y = [[0.0, -1.0j], [1.0j, 0.0]]
 _SIGMA_PLUS = [[0.0, 1.0], [0.0, 0.0]]
 _SIGMA_MINUS = [[0.0, 0.0], [1.0, 0.0]]
 
@@ -69,30 +72,13 @@ def assemble_full(params: ModelParams, cutoff: int) -> np.ndarray:
     )
 
 
-def _pt_image(h: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    # Parity-plus-time-reversal action: sigma -> -sigma is conjugation by
-    # sigma_y on every level (sigma_z -> -sigma_z, sigma_+- -> -sigma_-+),
-    # ladder operators fixed, then entrywise complex conjugation.
-    flip = np.kron(np.eye(h.shape[0] // 2), np.array(_SIGMA_Y))
-    return (flip @ h @ flip).conj()
-
-
-def _fock_parity(levels: int) -> np.ndarray:
-    import numpy as np
-
-    signs = np.array([(-1.0) ** n for n in range(levels)])
-    return np.kron(np.diag(signs), np.eye(2)).astype(complex)
-
-
 class SymmetryReport(NamedTuple):
     """Frobenius residuals of the symmetry relations on the truncated matrix.
 
     commutator_residual   -- ||[H, P sigma_z]||
     sigma_z_residual      -- ||sigma_z H sigma_z - H^dagger||
     parity_residual       -- ||P H P - H^dagger||
-    pt_residual           -- ||H_pt - H|| (nonzero: the model is not PT symmetric)
+    pt_residual           -- ||H_pt - H||, sqrt(2L alpha^2 + 2L(L-1) mu^2) for L = cutoff + 1 levels
     h_norm                -- ||H|| for relative comparisons
     """
 
@@ -109,14 +95,18 @@ def symmetry_report(params: ModelParams, cutoff: int) -> SymmetryReport:
     h = assemble_full(params, cutoff)
     h_dag = h.conj().T
     levels = h.shape[0] // 2
-    sz = np.kron(np.eye(levels), np.array(_SIGMA_Z, dtype=complex)).astype(complex)
-    parity = _fock_parity(levels)
-    grading = parity @ sz
+    # Conjugation by a sign vector v scales entry (i, j) by v_i v_j; the commutator with the grading
+    # g = P sigma_z scales it by g_j - g_i.  sigma_y on every level swaps i <-> i ^ 1 with signs sz_i sz_j.
+    sz = np.tile([1.0, -1.0], levels)
+    parity = np.repeat((-1.0) ** np.arange(levels), 2)
+    grading = parity * sz
+    swap = np.arange(2 * levels) ^ 1
+    pt_image = (np.outer(sz, sz) * h[swap][:, swap]).conj()
     return SymmetryReport(
-        commutator_residual=float(np.linalg.norm(h @ grading - grading @ h)),
-        sigma_z_residual=float(np.linalg.norm(sz @ h @ sz - h_dag)),
-        parity_residual=float(np.linalg.norm(parity @ h @ parity - h_dag)),
-        pt_residual=float(np.linalg.norm(_pt_image(h) - h)),
+        commutator_residual=float(np.linalg.norm(h * (grading[None, :] - grading[:, None]))),
+        sigma_z_residual=float(np.linalg.norm(np.outer(sz, sz) * h - h_dag)),
+        parity_residual=float(np.linalg.norm(np.outer(parity, parity) * h - h_dag)),
+        pt_residual=float(np.linalg.norm(pt_image - h)),
         h_norm=float(np.linalg.norm(h)),
     )
 

@@ -48,7 +48,6 @@ class MetricMatrix(NamedTuple):
 
 
 class MetricDiagnostics(NamedTuple):
-    symmetry_residual: float
     det_error: float
     positive_definite: bool
     intertwining_residual: float
@@ -110,20 +109,29 @@ def eta(params: ModelParams, n: int) -> MetricMatrix:
     return MetricMatrix(np.array([[diag, off], [off, diag]]), region, n)
 
 
+def _traceless_block(params: ModelParams, n: int) -> np.ndarray:
+    """[[-delta/2, b], [-b, delta/2]]: the block less its centre, rounded at the size of delta, not of n*homega."""
+    import numpy as np
+
+    coupling = params.mu * math.sqrt(n + 1.0)
+    return np.array([[-0.5 * params.delta, coupling], [-coupling, 0.5 * params.delta]], dtype=complex)
+
+
 def eta_from_vectors(params: ModelParams, n: int) -> np.ndarray:
     """Metric as sum_i |L_i><L_i| over balanced-gauge left eigenvectors.
 
     Each left vector is scaled by the gauge's |c| = sqrt(||R|| / ||L||); its
     phase would cancel.  Independent of the closed forms; used to
-    cross-validate them.  The result carries rounding-level imaginary parts
-    from complex arithmetic in the broken region.
+    cross-validate them.  The vectors are the traceless block's, which keep
+    delta's digits near resonance.  The result carries rounding-level
+    imaginary parts from complex arithmetic in the broken region.
     """
     import numpy as np
 
     n = check_subspace_index(n)
     _phase_regular(params, n)
     out = np.zeros((2, 2), dtype=complex)
-    for p in biortho_system(build_block(params, n)):
+    for p in biortho_system(_traceless_block(params, n)):
         left = math.sqrt(np.linalg.norm(p.right_vector) / np.linalg.norm(p.left_vector)) * p.left_vector
         out += np.outer(left, left.conj())
     return out
@@ -140,8 +148,7 @@ def verify_metric(params: ModelParams, n: int) -> MetricDiagnostics:
 
     g = eta(params, n).matrix
     h = build_block(params, n)
-    symmetry_residual = float(np.linalg.norm(g - g.T))
     det_error = abs(float(np.linalg.det(g)) - 1.0)
     positive_definite = bool(np.trace(g) > 0.0 and np.linalg.det(g) > 0.0)
     intertwining_residual = float(np.linalg.norm(g @ h - h.conj().T @ g))
-    return MetricDiagnostics(symmetry_residual, det_error, positive_definite, intertwining_residual)
+    return MetricDiagnostics(det_error, positive_definite, intertwining_residual)

@@ -111,5 +111,4 @@ def sigma_z_residual(params: ModelParams, n: int) -> float:
     import numpy as np
 
     h = build_block(params, n)
-    sz = np.diag([1.0, -1.0])
-    return float(np.linalg.norm(sz @ h @ sz - h.conj().T))
+    return float(np.linalg.norm(h * [[1.0, -1.0], [-1.0, 1.0]] - h.conj().T))

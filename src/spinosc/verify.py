@@ -26,7 +26,7 @@ from .fullspace import block_decomposition_check, symmetry_report
 from .metric import eta, eta_from_vectors, verify_metric
 from .model import ModelParams, build_block, sigma_z_residual
 from .smallmat import EIGN_DIM_CAP
-from .spectral import critical_coupling, phase_rule
+from .spectral import block_spectrum, critical_coupling, phase_rule
 from .thermo import finite_diff_check, partition_function, thermo_point
 
 __all__ = ["CheckResult", "run_checks"]
@@ -124,9 +124,9 @@ def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list
 
     def dual_route(n, mu, tau):
         params = ModelParams(alpha, homega, mu)
-        # A Z out of double range (None), or below 1e-6 near a cos zero or deeply damped, is not compared.
+        # An undefined Z, or a broken one whose cos(Im e_plus / tau) is within 1e-6 of a zero, is not compared.
         z_closed = thermo_point(params, n, tau).z
-        if z_closed is None or abs(z_closed) < 1e-6:
+        if z_closed is None or abs(math.cos(block_spectrum(params, n).e_plus.imag / tau)) < 1e-6:
             return None
         return abs(partition_function(params, n, tau) - z_closed) / abs(z_closed)
 
@@ -149,9 +149,10 @@ def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list
         report = full_space(mu)
         return max(report.commutator_residual, report.sigma_z_residual, report.parity_residual) / report.h_norm
 
-    def pt_asymmetry(mu):  # below 1 where ||H_pt - H|| exceeds 0.1 ||H||: the model is not PT symmetric
-        report = full_space(mu)
-        return 0.1 * report.h_norm / report.pt_residual
+    def pt_breaking(mu):  # H_pt - H = -alpha sigma_z + mu sigma_x (a^dag - a) on L = cutoff + 1 levels
+        levels = cutoff + 1
+        closed = math.hypot(math.sqrt(2 * levels) * params.alpha, math.sqrt(2 * levels * (levels - 1)) * mu)
+        return abs(full_space(mu).pt_residual / closed - 1.0)
 
     checks = [
         ("sigma-z pseudo-hermiticity (blocks)", 1e-12, "max residual", "the block at n = {}, mu = {:.12g}",
@@ -177,7 +178,7 @@ def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list
          "the truncated spectrum at mu = {:.12g}", [(f * mu_c[0],) for f in (0.0, 0.3, 0.65, 1.5)], truncated_spectrum),
         ("full-space symmetries (grading, sigma-z, parity)", 1e-12, "max relative residual",
          "the full space at mu = {:.12g}", [(0.5 * mu_c[0],)], symmetries),
-        ("full-space PT asymmetry", 1.0, "0.1 ||H|| / ||H_pt - H||", "the full space at mu = {:.12g}",
-         [(0.5 * mu_c[0],)], pt_asymmetry),
+        ("full-space PT breaking (||H_pt - H|| vs closed)", 1e-12, "relative |diff|",
+         "the full space at mu = {:.12g}", [(0.5 * mu_c[0],)], pt_breaking),
     ]
     return [_bounded(*check) for check in checks]

@@ -12,6 +12,7 @@ import pytest
 
 from spinosc import fullspace, smallmat, thermo, verify
 from spinosc.cli import main
+from spinosc.model import ModelParams
 from spinosc.spectral import critical_coupling
 
 
@@ -220,9 +221,9 @@ def test_verify_block_check_takes_no_coupling_at_a_coalescence(alpha):
     assert "PASS truncated spectrum matches block union" in result.stdout, result.stdout
 
 
-def run_verify_in_process(capsys, *args):
-    """(exit status, stdout lines) of `spinosc *args verify --cutoff 8` run in this process, stderr empty."""
-    status = main([*args, "verify", "--cutoff", "8"])
+def run_verify_in_process(capsys, *args, cutoff=8):
+    """(exit status, stdout lines) of `spinosc *args verify --cutoff cutoff` run in this process, stderr empty."""
+    status = main([*args, "verify", "--cutoff", str(cutoff)])
     out, err = capsys.readouterr()
     assert err == ""
     return status, out.splitlines()
@@ -239,18 +240,21 @@ def test_verify_skips_closed_z_outside_double_range(monkeypatch):
 
 
 def test_verify_skips_dual_route_points_near_a_zero_of_z(monkeypatch):
-    # Where homega sets the temperature scale (|homega - alpha| < homega), the
-    # damping exp(-(2n+1) homega / 2 tau) takes some Z below 1e-6.
-    real, small = verify.thermo_point, []
+    # With homega 1 and homega - alpha = pi / (2 sqrt 5), the broken Z's cos(Im e_plus / tau) has
+    # its argument at pi / 2 at mu = 1.5 mu_c and tau = 0.25 in every subspace: those six points
+    # are skipped, and every other point is compared, damped or not.
+    alpha = 1.0 - math.pi / (2.0 * math.sqrt(5.0))
+    real, compared = verify.partition_function, []
 
     def spy(params, n, tau):
-        point = real(params, n, tau)
-        small.append(abs(point.z) < 1e-6)
-        return point
+        compared.append((n, params.mu, tau))
+        return real(params, n, tau)
 
-    monkeypatch.setattr(verify, "thermo_point", spy)
-    check = {result.name: result for result in verify.run_checks(0.5, 1.0, cutoff=2)}["partition function dual route"]
-    assert check.passed and 0 < sum(small) < len(small)
+    monkeypatch.setattr(verify, "partition_function", spy)
+    check = {result.name: result for result in verify.run_checks(alpha, 1.0, cutoff=2)}["partition function dual route"]
+    assert check.passed
+    zeros = [(n, 1.5 * critical_coupling(ModelParams(alpha, 1.0, 0.0), n), 0.25) for n in range(6)]
+    assert len(compared) == 138 and not set(zeros) & set(compared)
 
 
 def test_verify_fails_a_stencil_it_cannot_evaluate(monkeypatch, capsys):
@@ -337,13 +341,22 @@ def test_verify_names_the_first_point_whose_metric_is_not_unimodular(monkeypatch
                                    "positive definite with unit determinant")
 
 
-@pytest.mark.parametrize("alpha", ["12", "50", "1000", "5000", "-5", "7", "-1000", "1e10", "3e16",
-                                   "0.99", "0.999", "1.01"])
-def test_verify_passes_from_far_detuning_to_near_resonance(capsys, alpha):
+@pytest.mark.parametrize(
+    "alpha,cutoff",
+    [pytest.param(alpha, 8, id=alpha) for alpha in ("12", "50", "1000", "5000", "-5", "7", "-1000", "1e10", "3e16",
+                                                    "0.99", "0.999", "1.01", "1.00003", "1.00001", "1.000001",
+                                                    "1.0000001")]
+    + [(alpha, 127) for alpha in ("0.5", "0.9", "0.99", "1.01", "1.1", "1.5", "2", "3", "-0.5", "-1")]
+    + [("0.5", cutoff) for cutoff in (16, 32, 64)],
+)
+def test_verify_passes_from_far_detuning_to_near_resonance(capsys, alpha, cutoff):
     # Temperatures in units of max(|homega - alpha|, homega): in units of
     # |homega - alpha| alone, tau would fall far below homega near resonance
-    # (the last three), and Z would underflow.
-    status, lines = run_verify_in_process(capsys, f"--alpha={alpha}")
+    # (0.99 to 1.0000001), and Z would underflow.  The metric's eigenvector route
+    # works on the traceless block, whose entries keep delta's digits near
+    # resonance.  The PT row holds ||H_pt - H|| to its closed form, which
+    # does not fade as homega a^dag a grows with the cutoff.
+    status, lines = run_verify_in_process(capsys, f"--alpha={alpha}", cutoff=cutoff)
     assert status == 0, [line for line in lines if line.startswith("FAIL")]
 
 
@@ -406,7 +419,7 @@ def test_verify_refuses_a_discriminant_that_overflows_on_its_grid(alpha, homega)
         (("--alpha", "5e-310", "--homega", "1e-310", "verify"), "metric routes agree (eigenvectors vs closed)",
          "cannot evaluate the metric at n = 0, mu = 4e-311: metric is singular at mu = 4e-311 "
          "(coalescence for subspace n = 0)"),
-        (("--alpha", "5e153", "verify", "--cutoff", "4"), "full-space PT asymmetry",
+        (("--alpha", "5e153", "verify", "--cutoff", "4"), "full-space PT breaking (||H_pt - H|| vs closed)",
          "cannot evaluate the full space at mu = 1.25e+153: overflow encountered in dot"),
         (("--alpha", "5e153", "verify", "--cutoff", "4"), "sigma-z pseudo-hermiticity (blocks)",
          "cannot evaluate the block at n = 5, mu = 3.75e+153: overflow encountered in dot"),

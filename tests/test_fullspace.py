@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from spinosc.fullspace import assemble_full, block_decomposition_check, symmetry_report
+from spinosc.fullspace import SymmetryReport, assemble_full, block_decomposition_check, symmetry_report
 from spinosc.model import ModelParams
+from spinosc.spectral import critical_coupling
 
 FIG = dict(alpha=5.0, homega=1.0)
 
@@ -107,6 +110,8 @@ def test_symmetry_residuals(mu):
     assert report.sigma_z_residual < 1e-12 * report.h_norm
     assert report.parity_residual < 1e-12 * report.h_norm
     assert report.pt_residual > 0.1 * report.h_norm
+    # H_pt - H = -alpha sigma_z + mu sigma_x (a^dag - a); L = 6 levels: 2L alpha^2 + 2L(L-1) mu^2.
+    assert report.pt_residual == pytest.approx(math.sqrt(12 * 5.0**2 + 60 * mu**2), rel=1e-12, abs=0)
 
 
 def test_symmetry_report_hermitian_limit_raw_numbers():
@@ -122,3 +127,33 @@ def test_symmetry_report_hermitian_limit_raw_numbers():
 def test_symmetry_holds_at_coalescence_too():
     report = symmetry_report(ModelParams(5, 1, 2), 5)
     assert report.commutator_residual < 1e-12 * report.h_norm
+
+
+def _dense_symmetry_report(params, cutoff):
+    # Reference: sigma_z, the Fock parity and the PT flip (sigma_y on every level) as dense 2L x 2L products.
+    h = assemble_full(params, cutoff)
+    h_dag = h.conj().T
+    levels = h.shape[0] // 2
+    sz = np.kron(np.eye(levels), np.diag([1.0, -1.0])).astype(complex)
+    parity = np.kron(np.diag([(-1.0) ** n for n in range(levels)]), np.eye(2)).astype(complex)
+    grading = parity @ sz
+    flip = np.kron(np.eye(levels), np.array([[0.0, -1.0j], [1.0j, 0.0]]))
+    return SymmetryReport(
+        commutator_residual=float(np.linalg.norm(h @ grading - grading @ h)),
+        sigma_z_residual=float(np.linalg.norm(sz @ h @ sz - h_dag)),
+        parity_residual=float(np.linalg.norm(parity @ h @ parity - h_dag)),
+        pt_residual=float(np.linalg.norm((flip @ h @ flip).conj() - h)),
+        h_norm=float(np.linalg.norm(h)),
+    )
+
+
+@pytest.mark.parametrize("alpha,homega", [(5.0, 1.0), (41.0, 1.0), (0.5, 1.0), (1e10, 1.0), (-5.0, 1.0),
+                                          (5.0 * 2.0**-40, 2.0**-40)])
+@pytest.mark.parametrize("cutoff", [1, 2, 8, 127])
+def test_symmetry_report_has_the_bits_of_the_dense_products(alpha, homega, cutoff):
+    # Each dense product only multiplies entries by +-1 or +-i and adds exact zeros.
+    mu_c = critical_coupling(ModelParams(alpha, homega, 0.0), 0)
+    for fraction in (0.0, 0.2, 0.5, 1.0, 1.5, 2.0):
+        params = ModelParams(alpha, homega, fraction * mu_c)
+        fields = [value.hex() for value in symmetry_report(params, cutoff)]
+        assert fields == [value.hex() for value in _dense_symmetry_report(params, cutoff)], params

@@ -103,6 +103,16 @@ def test_sigma_z_residual_exact_in_hermitian_limit():
     assert sigma_z_residual(ModelParams(5, 1, 0), 3) == 0.0
 
 
+@pytest.mark.parametrize("alpha", [5.0, 41.0, 0.5, 1e10, -5.0])
+@pytest.mark.parametrize("n", [0, 5, 2**53 - 1])
+def test_sigma_z_residual_has_the_bits_of_the_dense_product(alpha, n):
+    sz = np.diag([1.0, -1.0])
+    for mu in (0.0, 0.3, 1.0, 2.5, 1e5):
+        params = ModelParams(alpha, 1.0, mu)
+        h = build_block(params, n)
+        assert sigma_z_residual(params, n).hex() == float(np.linalg.norm(sz @ h @ sz - h.conj().T)).hex()
+
+
 def test_mu_zero_block_is_hermitian():
     block = build_block(ModelParams(5, 1, 0), 4)
     assert np.array_equal(block, block.conj().T)
