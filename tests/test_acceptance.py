@@ -256,19 +256,26 @@ def test_criterion_7_fullspace_oracle():
         check = block_decomposition_check(_params(mu), cutoff)
         ground_ok = ground_ok and min(abs(check.computed - (-2.5))) < 1e-8
 
-    report = symmetry_report(_params(1.0), cutoff)
+    params = _params(1.0)
+    report = symmetry_report(params, cutoff)
+    # Not PT symmetric: H_pt - H is -alpha sigma_z + mu sigma_x (a^dag - a) entrywise, a tenth of ||H|| or more.
+    levels = cutoff + 1
+    a = np.diag(np.sqrt(np.arange(1.0, levels)), 1)
+    pt_difference = (-params.alpha * np.kron(np.eye(levels), np.diag([1.0, -1.0]))
+                     + params.mu * np.kron(a.T - a, [[0.0, 1.0], [1.0, 0.0]]))
+    pt_ratio = float(np.linalg.norm(pt_difference)) / report.h_norm
     sym_ok = (
         report.commutator_residual < 1e-12 * report.h_norm
         and report.sigma_z_residual < 1e-12 * report.h_norm
-        and report.pt_residual > 0.1 * report.h_norm
+        and report.pt_residual < 1e-12 * report.h_norm
+        and pt_ratio > 0.1
     )
     ok = worst_multiset < 1e-8 and ground_ok and sym_ok
     _report(
         "criterion-7 fullspace-oracle",
         ok,
         f"multiset deviation {worst_multiset:.2e}, ground state present: {ground_ok}, "
-        f"commutator {report.commutator_residual:.2e}, pt ratio "
-        f"{report.pt_residual / report.h_norm:.2f}",
+        f"commutator {report.commutator_residual:.2e}, pt ratio {pt_ratio:.2f}",
     )
 
 

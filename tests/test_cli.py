@@ -208,7 +208,7 @@ def test_the_removed_ep_window_flag_is_a_usage_error():
 def test_verify_passes_on_defaults():
     result = run_cli("verify", "--cutoff", "6")
     assert result.returncode == 0
-    assert "all 9 checks passed" in result.stdout
+    assert "all 8 checks passed" in result.stdout
     assert "FAIL" not in result.stdout
 
 
@@ -354,8 +354,8 @@ def test_verify_passes_from_far_detuning_to_near_resonance(capsys, alpha, cutoff
     # |homega - alpha| alone, tau would fall far below homega near resonance
     # (0.99 to 1.0000001), and Z would underflow.  The metric's eigenvector route
     # works on the traceless block, whose entries keep delta's digits near
-    # resonance.  The PT row holds ||H_pt - H|| to its closed form, which
-    # does not fade as homega a^dag a grows with the cutoff.
+    # resonance.  The full-space row holds H_pt - H to its closed form entry
+    # by entry, which does not fade as homega a^dag a grows with the cutoff.
     status, lines = run_verify_in_process(capsys, f"--alpha={alpha}", cutoff=cutoff)
     assert status == 0, [line for line in lines if line.startswith("FAIL")]
 
@@ -414,13 +414,12 @@ def test_verify_refuses_a_discriminant_that_overflows_on_its_grid(alpha, homega)
 @pytest.mark.parametrize(
     "args,name,detail",
     [
-        (("--alpha", "5e153", "verify", "--cutoff", "4"), "full-space symmetries (grading, sigma-z, parity)",
+        (("--alpha", "5e153", "verify", "--cutoff", "8"),
+         "full-space symmetries and PT image (grading, sigma-z, parity, H_pt - H)",
          "cannot evaluate the full space at mu = 1.25e+153: overflow encountered in dot"),
         (("--alpha", "5e-310", "--homega", "1e-310", "verify"), "metric routes agree (eigenvectors vs closed)",
          "cannot evaluate the metric at n = 0, mu = 4e-311: metric is singular at mu = 4e-311 "
          "(coalescence for subspace n = 0)"),
-        (("--alpha", "5e153", "verify", "--cutoff", "4"), "full-space PT breaking (||H_pt - H|| vs closed)",
-         "cannot evaluate the full space at mu = 1.25e+153: overflow encountered in dot"),
         (("--alpha", "5e153", "verify", "--cutoff", "4"), "sigma-z pseudo-hermiticity (blocks)",
          "cannot evaluate the block at n = 5, mu = 3.75e+153: overflow encountered in dot"),
     ],
@@ -429,6 +428,15 @@ def test_verify_fails_the_first_point_an_oracle_cannot_evaluate(args, name, deta
     result = run_cli(*args)
     assert (result.returncode, result.stderr) == (4, "")
     assert f"FAIL {name}: {detail}" in result.stdout.splitlines()
+
+
+def test_verify_full_space_row_evaluates_where_its_norms_are_in_range(capsys):
+    # At cutoff 4, ||H|| is 9.7e153 and every residual is 0, while ||H_pt - H|| (1.6e154) would overflow
+    # when squared: the row compares H_pt - H with its closed form entry by entry, so it evaluates.
+    status, lines = run_verify_in_process(capsys, "--alpha=5e153", cutoff=4)
+    assert status == 4
+    assert "PASS full-space symmetries and PT image (grading, sigma-z, parity, H_pt - H): max relative residual " \
+           "0.000e+00" in lines
 
 
 @pytest.mark.parametrize("args", [("--alpha", "3e16"), ("--alpha", "5e-310", "--homega", "1e-310")])
