@@ -5,7 +5,8 @@ Biorthonormality <L_i|R_j> = delta_ij only fixes the product of the
 left/right scales; the residual freedom (L, R) -> (c L, R / conj(c)) is
 removed by the *balanced gauge* <L|L> = <R|R>, which is the unique choice
 that makes the summed metric real symmetric with unit determinant.  Only
-|c|^2 reaches the metric, as (c L)(c L)^dagger = |c|^2 L L^dagger.
+|c|^2 reaches the metric: each eigenpair (l, r) adds w l l^dagger with one
+real weight w = ||r|| / (||l|| |<l|r>|), which is 1 / |<l|r>| for unit vectors.
 
 The closed-form route evaluates the resulting entries directly.  With
 b = mu*sqrt(n+1) and s = sign(delta):
@@ -26,13 +27,12 @@ import math
 from typing import NamedTuple
 
 from .model import ModelParams, build_block, check_subspace_index
-from .smallmat import DefectiveMatrix, Eigenpair2, eig2
+from .smallmat import DefectiveMatrix, eig2
 from .spectral import ExceptionalPoint, PhaseRegion, phase
 
 __all__ = [
     "MetricMatrix",
     "MetricDiagnostics",
-    "biortho_system",
     "eta",
     "eta_from_vectors",
     "verify_metric",
@@ -51,33 +51,6 @@ class MetricDiagnostics(NamedTuple):
     det_error: float
     positive_definite: bool
     intertwining_residual: float
-
-
-def biortho_system(m) -> tuple[Eigenpair2, Eigenpair2]:
-    """Biorthonormalize the eigenvectors of a 2x2 block: <L_i|R_j> = delta_ij.
-
-    Returns the two pairs, each with a unit right vector and the left vector
-    scaled so that <L|R> = 1.  Pairing comes from eig2 (the left vector of
-    each pair is the adjoint eigenvector with the conjugated eigenvalue),
-    which covers both the real unbroken spectrum and the conjugate-pair
-    broken spectrum.  Raises DefectiveMatrix when the block is not
-    diagonalizable.
-    """
-    import numpy as np
-
-    pairs = eig2(m)
-    normalized = []
-    for p in pairs:
-        right = p.right_vector / np.linalg.norm(p.right_vector)
-        left = p.left_vector
-        overlap = np.vdot(left, right)
-        if abs(overlap) < 1e-12 * np.linalg.norm(left):
-            raise DefectiveMatrix(
-                "left/right overlap vanishes; block is numerically defective",
-                eigenvalues=(pairs[0].value, pairs[1].value),
-            )
-        normalized.append(Eigenpair2(p.value, right, left / np.conj(overlap)))
-    return tuple(normalized)
 
 
 def _phase_regular(params: ModelParams, n: int) -> tuple[PhaseRegion, float]:
@@ -118,22 +91,27 @@ def _traceless_block(params: ModelParams, n: int) -> np.ndarray:
 
 
 def eta_from_vectors(params: ModelParams, n: int) -> np.ndarray:
-    """Metric as sum_i |L_i><L_i| over balanced-gauge left eigenvectors.
+    """Metric as sum_i |l_i><l_i| / |<l_i|r_i>| over unit left and right eigenvectors.
 
-    Each left vector is scaled by the gauge's |c| = sqrt(||R|| / ||L||); its
-    phase would cancel.  Independent of the closed forms; used to
-    cross-validate them.  The vectors are the traceless block's, which keep
-    delta's digits near resonance.  The result carries rounding-level
-    imaginary parts from complex arithmetic in the broken region.
+    Independent of the closed forms; used to cross-validate them.  The
+    vectors are the traceless block's, which keep delta's digits near
+    resonance.  Raises DefectiveMatrix where an overlap vanishes.  Broken-region
+    results carry rounding-level imaginary parts from complex arithmetic.
     """
     import numpy as np
 
     n = check_subspace_index(n)
     _phase_regular(params, n)
+    pairs = eig2(_traceless_block(params, n))
     out = np.zeros((2, 2), dtype=complex)
-    for p in biortho_system(_traceless_block(params, n)):
-        left = math.sqrt(np.linalg.norm(p.right_vector) / np.linalg.norm(p.left_vector)) * p.left_vector
-        out += np.outer(left, left.conj())
+    for p in pairs:
+        right = p.right_vector / np.linalg.norm(p.right_vector)
+        left = p.left_vector / np.linalg.norm(p.left_vector)
+        overlap = abs(np.vdot(left, right))
+        if overlap < 1e-12:
+            eigenvalues = (pairs[0].value, pairs[1].value)
+            raise DefectiveMatrix("left/right overlap vanishes; block is numerically defective", eigenvalues)
+        out += np.outer(left, left.conj()) / overlap
     return out
 
 

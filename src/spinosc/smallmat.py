@@ -10,7 +10,6 @@ from typing import NamedTuple
 
 __all__ = [
     "DefectiveMatrix",
-    "ConvergenceFailure",
     "Eigenpair2",
     "eig2",
     "expm2",
@@ -28,16 +27,12 @@ class DefectiveMatrix(ArithmeticError):
         self.eigenvalues = eigenvalues
 
 
-class ConvergenceFailure(ArithmeticError):
-    """Dense eigenvalue iteration failed to converge."""
-
-
 class Eigenpair2(NamedTuple):
     """One matched eigenvalue with right vector of m and left vector of adjoint(m).
 
-    Vectors are unnormalized; biorthonormal scaling and the balanced gauge's
-    |c|^2, all the metric needs of the gauge, are applied downstream.  The
-    left vector is the adjoint eigenvector whose eigenvalue conjugates to `value`.
+    Vectors are unnormalized; the metric weighs each pair by one real factor
+    that folds in biorthonormal scaling and the balanced gauge.  The left
+    vector is the adjoint eigenvector whose eigenvalue conjugates to `value`.
     """
 
     value: complex
@@ -146,7 +141,7 @@ def expm2(m, scale: float) -> np.ndarray:
 
 
 def eigN(m) -> np.ndarray:
-    """All eigenvalues of a general complex dense matrix (oracle use only)."""
+    """All eigenvalues of a general complex dense matrix (oracle use only); numpy's LinAlgError is a ValueError."""
     import numpy as np
 
     m = np.asarray(m, dtype=complex)
@@ -156,7 +151,4 @@ def eigN(m) -> np.ndarray:
         raise ValueError(f"dimension {m.shape[0]} exceeds cap {EIGN_DIM_CAP}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix entries must be finite")
-    try:
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+    return np.linalg.eigvals(m)

@@ -420,8 +420,6 @@ def test_verify_refuses_a_discriminant_that_overflows_on_its_grid(alpha, homega)
         (("--alpha", "5e-310", "--homega", "1e-310", "verify"), "metric routes agree (eigenvectors vs closed)",
          "cannot evaluate the metric at n = 0, mu = 4e-311: metric is singular at mu = 4e-311 "
          "(coalescence for subspace n = 0)"),
-        (("--alpha", "5e153", "verify", "--cutoff", "4"), "sigma-z pseudo-hermiticity (blocks)",
-         "cannot evaluate the block at n = 5, mu = 3.75e+153: overflow encountered in dot"),
     ],
 )
 def test_verify_fails_the_first_point_an_oracle_cannot_evaluate(args, name, detail):
@@ -433,10 +431,26 @@ def test_verify_fails_the_first_point_an_oracle_cannot_evaluate(args, name, deta
 def test_verify_full_space_row_evaluates_where_its_norms_are_in_range(capsys):
     # At cutoff 4, ||H|| is 9.7e153 and every residual is 0, while ||H_pt - H|| (1.6e154) would overflow
     # when squared: the row compares H_pt - H with its closed form entry by entry, so it evaluates.
+    # The block at n = 5, mu = 3.75e153 has a Frobenius norm beyond double range; the sigma-z row
+    # divides by its largest |entry|, which squares nothing, so it evaluates too.
     status, lines = run_verify_in_process(capsys, "--alpha=5e153", cutoff=4)
     assert status == 4
     assert "PASS full-space symmetries and PT image (grading, sigma-z, parity, H_pt - H): max relative residual " \
            "0.000e+00" in lines
+    assert "PASS sigma-z pseudo-hermiticity (blocks): max relative residual 0.000e+00" in lines
+
+
+def test_verify_fails_the_truncated_spectrum_row_where_the_dense_solver_does_not_converge(monkeypatch):
+    # numpy's LinAlgError is a ValueError, so it reaches the check as its FAIL line.
+    import numpy as np
+
+    def not_converged(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(fullspace, "eigN", not_converged)
+    check = {result.name: result for result in verify.run_checks(cutoff=2)}["truncated spectrum matches block union"]
+    assert check == ("truncated spectrum matches block union", False,
+                     "cannot evaluate the truncated spectrum at mu = 0: Eigenvalues did not converge")
 
 
 @pytest.mark.parametrize("args", [("--alpha", "3e16"), ("--alpha", "5e-310", "--homega", "1e-310")])

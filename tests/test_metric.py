@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from spinosc import metric
 from spinosc.metric import (
-    biortho_system,
     eta,
     eta_from_vectors,
     verify_metric,
@@ -21,32 +21,22 @@ ETA_N0_MU3 = np.array(
 )
 
 
-def _overlaps(pairs):
-    """The overlap matrix <L_i|R_j> of the pairs."""
-    return np.array([[np.vdot(li.left_vector, rj.right_vector) for rj in pairs] for li in pairs])
-
-
-def test_biortho_hermitian_limit_is_standard_basis():
-    pairs = biortho_system(build_block(ModelParams(5, 1, 0), 0))
-    assert np.allclose(_overlaps(pairs), np.eye(2), rtol=0, atol=1e-14)
-    for pair, basis in zip(pairs, np.eye(2)):
-        right = pair.right_vector / np.linalg.norm(pair.right_vector)
-        assert np.allclose(np.abs(right), basis, rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("mu,n", [(1.0, 0), (0.5, 2), (3.0, 0), (1.5, 3)])
-def test_biortho_overlap_is_identity(mu, n):
-    pairs = biortho_system(build_block(ModelParams(**FIG, mu=mu), n))
-    assert np.allclose(_overlaps(pairs), np.eye(2), rtol=0, atol=1e-12)
-
-
-def test_biortho_defective_at_coalescence():
-    with pytest.raises(DefectiveMatrix):
-        biortho_system(build_block(ModelParams(5, 1, 2), 0))
-
-
 def test_left_projector_sum_reference_broken_point():
     assert np.allclose(eta_from_vectors(ModelParams(5, 1, 3), 0), ETA_N0_MU3, rtol=0, atol=1e-12)
+
+
+def test_left_projector_sum_refuses_a_pair_whose_overlap_vanishes(monkeypatch):
+    # A left vector orthogonal to its right vector has no biorthonormal scale.
+    real = metric.eig2
+
+    def orthogonal_pairs(m):
+        pairs = real(m)
+        return tuple(p._replace(left_vector=np.array([-p.right_vector[1], p.right_vector[0]]).conj()) for p in pairs)
+
+    monkeypatch.setattr(metric, "eig2", orthogonal_pairs)
+    with pytest.raises(DefectiveMatrix, match="left/right overlap vanishes") as info:
+        eta_from_vectors(ModelParams(5, 1, 1), 0)
+    assert info.value.eigenvalues == tuple(p.value for p in real(metric._traceless_block(ModelParams(5, 1, 1), 0)))
 
 
 def test_eta_reference_unbroken():

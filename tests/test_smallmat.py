@@ -4,7 +4,7 @@ import pytest
 
 from spinosc.fullspace import assemble_full
 from spinosc.model import ModelParams, build_block
-from spinosc.smallmat import ConvergenceFailure, DefectiveMatrix, eig2, eigN, expm2
+from spinosc.smallmat import DefectiveMatrix, eig2, eigN, expm2
 from spinosc.spectral import critical_coupling
 
 # Deterministic bank of well-behaved 2x2 matrices for property checks.
@@ -240,9 +240,3 @@ def test_eigN_dimension_cap():
 def test_eigN_rejects_non_square():
     with pytest.raises(ValueError):
         eigN(np.zeros((2, 3)))
-
-
-def test_convergence_failure_is_raisable():
-    # numpy's solver converges on all reasonable inputs; the error type is
-    # part of the surface for callers that wrap larger problems.
-    assert issubclass(ConvergenceFailure, ArithmeticError)
