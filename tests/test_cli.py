@@ -411,21 +411,38 @@ def test_verify_refuses_a_discriminant_that_overflows_on_its_grid(alpha, homega)
         verify.run_checks(alpha, homega, cutoff=4)
 
 
+def _sigma_z_residual_by_norms(params, n):
+    # A sigma-z oracle that squares the block's entries, as a Frobenius norm does: at alpha 5e153
+    # the first block whose norm leaves double range is n = 5, mu = 3.75e153.
+    import numpy as np
+
+    h = verify.build_block(params, n)
+    return abs(float(np.linalg.norm(h * [[1.0, -1.0], [-1.0, 1.0]])) - float(np.linalg.norm(h.conj().T)))
+
+
 @pytest.mark.parametrize(
-    "args,name,detail",
+    "args,name,detail,sigma_z_residual",
     [
         (("--alpha", "5e153", "verify", "--cutoff", "8"),
          "full-space symmetries and PT image (grading, sigma-z, parity, H_pt - H)",
-         "cannot evaluate the full space at mu = 1.25e+153: overflow encountered in dot"),
+         "cannot evaluate the full space at mu = 1.25e+153: overflow encountered in dot", None),
         (("--alpha", "5e-310", "--homega", "1e-310", "verify"), "metric routes agree (eigenvectors vs closed)",
          "cannot evaluate the metric at n = 0, mu = 4e-311: metric is singular at mu = 4e-311 "
-         "(coalescence for subspace n = 0)"),
+         "(coalescence for subspace n = 0)", None),
+        # The row's own oracle squares nothing and evaluates at every point (see the next test).
+        (("--alpha", "5e153", "verify", "--cutoff", "4"), "sigma-z pseudo-hermiticity (blocks)",
+         "cannot evaluate the block at n = 5, mu = 3.75e+153: overflow encountered in dot",
+         _sigma_z_residual_by_norms),
     ],
 )
-def test_verify_fails_the_first_point_an_oracle_cannot_evaluate(args, name, detail):
-    result = run_cli(*args)
-    assert (result.returncode, result.stderr) == (4, "")
-    assert f"FAIL {name}: {detail}" in result.stdout.splitlines()
+def test_verify_fails_the_first_point_an_oracle_cannot_evaluate(capsys, monkeypatch, args, name, detail,
+                                                                 sigma_z_residual):
+    if sigma_z_residual is not None:
+        monkeypatch.setattr(verify, "sigma_z_residual", sigma_z_residual)
+    status = main(list(args))
+    out, err = capsys.readouterr()
+    assert (status, err) == (4, "")
+    assert f"FAIL {name}: {detail}" in out.splitlines()
 
 
 def test_verify_full_space_row_evaluates_where_its_norms_are_in_range(capsys):
