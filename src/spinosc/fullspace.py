@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import math
 from numbers import Integral
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import ModelParams
 from .smallmat import eigN
 from .spectral import block_spectrum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "assemble_full",

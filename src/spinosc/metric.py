@@ -27,7 +27,7 @@ import math
 from typing import NamedTuple
 
 from .model import ModelParams, build_block, check_subspace_index
-from .smallmat import DefectiveMatrix, eig2
+from .smallmat import Block, DefectiveMatrix, eig2, frobenius
 from .spectral import ExceptionalPoint, PhaseRegion, phase
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
 class MetricMatrix(NamedTuple):
     """Real symmetric 2x2 metric with unit determinant and its region tag."""
 
-    matrix: np.ndarray
+    matrix: tuple[tuple[float, float], tuple[float, float]]
     region: PhaseRegion
     n: int
 
@@ -65,8 +65,6 @@ def _phase_regular(params: ModelParams, n: int) -> tuple[PhaseRegion, float]:
 
 def eta(params: ModelParams, n: int) -> MetricMatrix:
     """Metric of the (n+1)-th subspace from the closed forms (mu = 0 gives identity)."""
-    import numpy as np
-
     n = check_subspace_index(n)
     region, disc = _phase_regular(params, n)
     coupling = params.mu * math.sqrt(n + 1.0)
@@ -79,18 +77,21 @@ def eta(params: ModelParams, n: int) -> MetricMatrix:
         d = math.sqrt(-disc)
         diag = 2.0 * coupling / d
         off = -sign * abs(params.delta) / d
-    return MetricMatrix(np.array([[diag, off], [off, diag]]), region, n)
+    return MetricMatrix(((diag, off), (off, diag)), region, n)
 
 
-def _traceless_block(params: ModelParams, n: int) -> np.ndarray:
+def _traceless_block(params: ModelParams, n: int) -> Block:
     """[[-delta/2, b], [-b, delta/2]]: the block less its centre, rounded at the size of delta, not of n*homega."""
-    import numpy as np
-
     coupling = params.mu * math.sqrt(n + 1.0)
-    return np.array([[-0.5 * params.delta, coupling], [-coupling, 0.5 * params.delta]], dtype=complex)
+    return ((complex(-0.5 * params.delta), complex(coupling)), (complex(-coupling), complex(0.5 * params.delta)))
 
 
-def eta_from_vectors(params: ModelParams, n: int) -> np.ndarray:
+def _unit(vector: tuple[complex, complex]) -> tuple[complex, complex]:
+    norm = math.hypot(*map(abs, vector))
+    return (vector[0] / norm, vector[1] / norm)
+
+
+def eta_from_vectors(params: ModelParams, n: int) -> Block:
     """Metric as sum_i |l_i><l_i| / |<l_i|r_i>| over unit left and right eigenvectors.
 
     Independent of the closed forms; used to cross-validate them.  The
@@ -98,20 +99,17 @@ def eta_from_vectors(params: ModelParams, n: int) -> np.ndarray:
     resonance.  Raises DefectiveMatrix where an overlap vanishes.  Broken-region
     results carry rounding-level imaginary parts from complex arithmetic.
     """
-    import numpy as np
-
     n = check_subspace_index(n)
     _phase_regular(params, n)
     pairs = eig2(_traceless_block(params, n))
-    out = np.zeros((2, 2), dtype=complex)
+    out = ((0j, 0j), (0j, 0j))
     for p in pairs:
-        right = p.right_vector / np.linalg.norm(p.right_vector)
-        left = p.left_vector / np.linalg.norm(p.left_vector)
-        overlap = abs(np.vdot(left, right))
+        right, left = _unit(p.right_vector), _unit(p.left_vector)
+        overlap = abs(left[0].conjugate() * right[0] + left[1].conjugate() * right[1])
         if overlap < 1e-12:
             eigenvalues = (pairs[0].value, pairs[1].value)
             raise DefectiveMatrix("left/right overlap vanishes; block is numerically defective", eigenvalues)
-        out += np.outer(left, left.conj()) / overlap
+        out = tuple(tuple(out[i][j] + left[i] * left[j].conjugate() / overlap for j in (0, 1)) for i in (0, 1))
     return out
 
 
@@ -122,11 +120,12 @@ def verify_metric(params: ModelParams, n: int) -> MetricDiagnostics:
     rounding) in the unbroken region only; in the broken region it is a
     finite documented quantity, reported but not required to be zero.
     """
-    import numpy as np
-
     g = eta(params, n).matrix
     h = build_block(params, n)
-    det_error = abs(float(np.linalg.det(g)) - 1.0)
-    positive_definite = bool(np.trace(g) > 0.0 and np.linalg.det(g) > 0.0)
-    intertwining_residual = float(np.linalg.norm(g @ h - h.conj().T @ g))
-    return MetricDiagnostics(det_error, positive_definite, intertwining_residual)
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    # eta H - H^dagger eta, entry by entry: (H^dagger)_ik = conj(H_ki).
+    residual = [
+        [sum(g[i][k] * h[k][j] for k in (0, 1)) - sum(h[k][i].conjugate() * g[k][j] for k in (0, 1)) for j in (0, 1)]
+        for i in (0, 1)
+    ]
+    return MetricDiagnostics(abs(det - 1.0), g[0][0] + g[1][1] > 0.0 and det > 0.0, frobenius(residual))

@@ -79,8 +79,8 @@ def check_subspace_index(n: int) -> int:
     return int(n)
 
 
-def build_block(params: ModelParams, n: int) -> np.ndarray:
-    """2x2 Hamiltonian block on the invariant subspace [|n,+1/2>, |n+1,-1/2>].
+def build_block(params: ModelParams, n: int) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """2x2 Hamiltonian block on the invariant subspace [|n,+1/2>, |n+1,-1/2>], as nested tuples of complex.
 
     [[alpha/2 + n*homega,              mu*sqrt(n+1)],
      [-mu*sqrt(n+1),      -alpha/2 + (n+1)*homega]]
@@ -88,16 +88,11 @@ def build_block(params: ModelParams, n: int) -> np.ndarray:
     The off-diagonal pair is antisymmetric, which is the entire source of
     non-Hermiticity; the trace (2n+1)*homega is alpha- and mu-independent.
     """
-    import numpy as np
-
     n = check_subspace_index(n)
     coupling = params.mu * math.sqrt(n + 1.0)
-    return np.array(
-        [
-            [0.5 * params.alpha + n * params.homega, coupling],
-            [-coupling, -0.5 * params.alpha + (n + 1) * params.homega],
-        ],
-        dtype=complex,
+    return (
+        (complex(0.5 * params.alpha + n * params.homega), complex(coupling)),
+        (complex(-coupling), complex(-0.5 * params.alpha + (n + 1) * params.homega)),
     )
 
 
@@ -106,9 +101,8 @@ def sigma_z_residual(params: ModelParams, n: int) -> float:
 
     sigma_z restricted to the block is diag(1, -1); conjugation by it flips
     the off-diagonal signs exactly, so the residual is zero to rounding for
-    every parameter choice.
+    every parameter choice.  The norm is math.hypot's, which squares no entry.
     """
-    import numpy as np
-
-    h = build_block(params, n)
-    return float(np.linalg.norm(h * [[1.0, -1.0], [-1.0, 1.0]] - h.conj().T))
+    (a, b), (c, d) = build_block(params, n)
+    residual = (a - a.conjugate(), -b - c.conjugate(), -c - b.conjugate(), d - d.conjugate())
+    return math.hypot(*map(abs, residual))

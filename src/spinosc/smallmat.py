@@ -1,18 +1,23 @@
-"""Small dense-matrix kernels: closed-form 2x2 eigendecomposition, 2x2 matrix
-exponential via the trace split, and a general N x N eigenvalue solve used
-only for oracle-style cross checks.
+"""Small matrix kernels: closed-form 2x2 eigendecomposition and 2x2 matrix
+exponential via the trace split, in complex arithmetic on nested tuples, and
+a general N x N eigenvalue solve by numpy used only for oracle-style cross checks.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DefectiveMatrix",
     "Eigenpair2",
     "eig2",
     "expm2",
+    "frobenius",
     "eigN",
 ]
 
@@ -30,36 +35,43 @@ class DefectiveMatrix(ArithmeticError):
 class Eigenpair2(NamedTuple):
     """One matched eigenvalue with right vector of m and left vector of adjoint(m).
 
-    Vectors are unnormalized; the metric weighs each pair by one real factor
-    that folds in biorthonormal scaling and the balanced gauge.  The left
-    vector is the adjoint eigenvector whose eigenvalue conjugates to `value`.
+    Vectors are unnormalized pairs of complex numbers; the metric weighs each
+    pair by one real factor that folds in biorthonormal scaling and the
+    balanced gauge.  The left vector is the adjoint eigenvector whose
+    eigenvalue conjugates to `value`.
     """
 
     value: complex
-    right_vector: np.ndarray
-    left_vector: np.ndarray
+    right_vector: tuple[complex, complex]
+    left_vector: tuple[complex, complex]
 
 
-def _as_block(m) -> np.ndarray:
-    import numpy as np
+Block = tuple[tuple[complex, complex], tuple[complex, complex]]
 
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+
+def frobenius(m) -> float:
+    """Frobenius norm of a 2x2 nested sequence by math.hypot: no entry is squared, and a NaN entry gives NaN."""
+    return math.hypot(*(abs(x) for row in m for x in row))
+
+
+def _as_block(m) -> Block:
+    """Any 2x2 nested sequence, numpy arrays included, as ((a, b), (c, d)) of finite complex numbers."""
+    try:
+        (a, b), (c, d) = m
+        block = ((complex(a), complex(b)), (complex(c), complex(d)))
+    except (TypeError, ValueError):
+        raise ValueError("expected a 2x2 matrix of numbers") from None
+    if not all(cmath.isfinite(x) for row in block for x in row):
         raise ValueError("matrix entries must be finite")
-    return m
+    return block
 
 
-def _null_vector(m: np.ndarray, lam: complex) -> np.ndarray:
-    import numpy as np
-
+def _null_vector(m: Block, lam: complex) -> tuple[complex, complex]:
     # (m - lam I) v = 0: both rows give a candidate; take the better conditioned one.
-    a, b = m[0, 0], m[0, 1]
-    c, d = m[1, 0], m[1, 1]
-    v1 = np.array([b, lam - a], dtype=complex)
-    v2 = np.array([lam - d, c], dtype=complex)
-    return v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
+    (a, b), (c, d) = m
+    v1 = (b, lam - a)
+    v2 = (lam - d, c)
+    return v1 if math.hypot(*map(abs, v1)) >= math.hypot(*map(abs, v2)) else v2
 
 
 def eig2(m) -> tuple[Eigenpair2, Eigenpair2]:
@@ -71,11 +83,8 @@ def eig2(m) -> tuple[Eigenpair2, Eigenpair2]:
     a scalar multiple of the identity (degenerate but diagonalizable).  Both
     tests scale with the entries; the subnormal floor binds only where the band underflows.
     """
-    import numpy as np
-
     m = _as_block(m)
-    a, b = m[0, 0], m[0, 1]
-    c, d = m[1, 0], m[1, 1]
+    (a, b), (c, d) = m
     tr = a + d
     det = a * d - b * c
     disc = (a - d) ** 2 + 4.0 * b * c
@@ -83,33 +92,29 @@ def eig2(m) -> tuple[Eigenpair2, Eigenpair2]:
     scale = max(abs(a), abs(b), abs(c), abs(d))
     if abs(b) <= 1e-14 * scale and abs(c) <= 1e-14 * scale and abs(a - d) <= 1e-14 * scale:
         lam = tr / 2.0
-        e1 = np.array([1.0, 0.0], dtype=complex)
-        e2 = np.array([0.0, 1.0], dtype=complex)
-        return (Eigenpair2(lam, e1, e1.copy()), Eigenpair2(lam, e2, e2.copy()))
+        e1, e2 = (1 + 0j, 0j), (0j, 1 + 0j)
+        return (Eigenpair2(lam, e1, e1), Eigenpair2(lam, e2, e2))
 
     if abs(disc) < max(1e-12 * max(abs(a - d) ** 2, 4.0 * abs(b) * abs(c)), 2e-323):
         lam = tr / 2.0
-        raise DefectiveMatrix(
-            f"eigenvalues coalesce at {lam}; eigenvectors unavailable",
-            eigenvalues=(complex(lam), complex(lam)),
-        )
+        raise DefectiveMatrix(f"eigenvalues coalesce at {lam}; eigenvectors unavailable", eigenvalues=(lam, lam))
 
-    root = np.sqrt(complex(disc))
+    root = cmath.sqrt(disc)
     if (tr.conjugate() * root).real < 0.0:
         root = -root
     lam1 = 0.5 * (tr + root)
     lam2 = det / lam1
 
-    adj = m.conj().T
+    adj = ((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate()))
     pairs = []
     for lam in (lam1, lam2):
         right = _null_vector(m, lam)
-        left = _null_vector(adj, np.conj(lam))
-        pairs.append(Eigenpair2(complex(lam), right, left))
+        left = _null_vector(adj, lam.conjugate())
+        pairs.append(Eigenpair2(lam, right, left))
     return (pairs[0], pairs[1])
 
 
-def expm2(m, scale: float) -> np.ndarray:
+def expm2(m, scale: float) -> Block:
     """exp(scale * m) for a 2x2 matrix via the trace split m = c*I + M.
 
     M is traceless, so M^2 = q^2 * I with q^2 = -det(M), and
@@ -119,25 +124,28 @@ def expm2(m, scale: float) -> np.ndarray:
     at q = 0 (coalescing eigenvalues), so one formula covers every block.
     Raises OverflowError where a term of the result leaves double range.
     """
-    import numpy as np
-
-    m = _as_block(m)
+    (a, b), (c, d) = _as_block(m)
     scale = float(scale)
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale}")
 
-    center = 0.5 * (m[0, 0] + m[1, 1])
-    traceless = m - center * np.eye(2)
-    q_sq = traceless[0, 0] ** 2 + traceless[0, 1] * traceless[1, 0]
-    q = np.sqrt(complex(q_sq))
+    center = 0.5 * (a + d)
+    a, d = a - center, d - center  # the traceless part M = [[a, b], [c, d]]
+    q = cmath.sqrt(a * a + b * c)
     sq = scale * q
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = np.exp(scale * center) * (
-            np.cosh(sq) * np.eye(2, dtype=complex) + (np.sinh(sq) / q if q != 0.0 else scale) * traceless
+    try:  # cmath raises OverflowError where a function leaves double range; a product gives inf
+        factor = cmath.exp(scale * center)
+        cosh = cmath.cosh(sq)
+        sinh_q = cmath.sinh(sq) / q if q != 0.0 else scale
+        result = (
+            (factor * (cosh + sinh_q * a), factor * (sinh_q * b)),
+            (factor * (sinh_q * c), factor * (cosh + sinh_q * d)),
         )
-    if not np.all(np.isfinite(result.view(float))):
-        raise OverflowError(f"exp({scale!r} * m) leaves double range")
-    return result
+        if all(cmath.isfinite(x) for row in result for x in row):
+            return result
+    except OverflowError:
+        pass
+    raise OverflowError(f"exp({scale!r} * m) leaves double range")
 
 
 def eigN(m) -> np.ndarray:

@@ -31,8 +31,9 @@ run_sweep run it once per unit of a sweep (one subspace times one part of
 its grid).  The row-by-row loop it replaced lives in the tests as the
 reference for its codes and bits.  The matrix trace itself
 (partition_function) is the oracle the closed forms are validated against
-in the verification suite and the tests; it imports numpy and the matrix
-modules (metric, smallmat) only when it runs, not when thermo loads.
+in the verification suite and the tests; it is 2x2 complex arithmetic with
+no numpy, and it imports the matrix modules (metric, smallmat) only when it
+runs, not when thermo loads.
 finite_diff_check differentiates the matrix-route ln Z numerically and
 compares it with d lnZ/d tau = U/tau^2 and d2 lnZ/d tau2 derived from the
 kernel's F, S and C_v, so that oracle checks the production S and C_v.
@@ -113,20 +114,21 @@ def partition_function(params: ModelParams, n: int, tau: float) -> float:
 
     This is the ground-truth route.  The trace is real for the real block and
     real metric; the imaginary residue is asserted below 1e-10 relative and
-    discarded.
+    discarded.  Raises OverflowError where exp(-H/tau) or the trace leaves
+    double range.
     """
-    import numpy as np
-
     from .metric import eta
     from .smallmat import expm2
     n = check_subspace_index(n)
     tau = _check_tau(tau)
     g = eta(params, n).matrix
-    h = build_block(params, n)
-    z = complex(np.trace(expm2(h, -1.0 / tau) @ g))
+    (e00, e01), (e10, e11) = expm2(build_block(params, n), -1.0 / tau)
+    z = (e00 * g[0][0] + e01 * g[1][0]) + (e10 * g[0][1] + e11 * g[1][1])
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise OverflowError(f"the partition trace leaves double range at tau = {tau!r}")
     if abs(z.imag) > 1e-10 * max(abs(z), 1e-300):
         raise ArithmeticError(f"partition trace has a non-real residue: {z!r}")
-    return float(z.real)
+    return z.real
 
 
 REGIONS = (PhaseRegion.UNBROKEN, PhaseRegion.BROKEN, PhaseRegion.EXCEPTIONAL)

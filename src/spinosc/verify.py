@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .fullspace import block_decomposition_check, symmetry_report
 from .metric import eta, eta_from_vectors, verify_metric
 from .model import ModelParams, build_block, sigma_z_residual
-from .smallmat import EIGN_DIM_CAP
+from .smallmat import EIGN_DIM_CAP, frobenius
 from .spectral import block_spectrum, critical_coupling, phase_rule
 from .thermo import finite_diff_check, partition_function, thermo_point
 
@@ -64,6 +64,12 @@ def _ulps_from_root(delta: float, n: int, mu_c: float) -> int:
             return k
         below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
     return 3
+
+
+def _max_abs(entries) -> float:
+    """The largest |entry|; NaN if any entry is NaN, which max() alone can drop."""
+    values = [abs(x) for x in entries]
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
 def _bounded(name: str, bound: float, measure: str, what: str, points, residual) -> CheckResult:
@@ -109,19 +115,20 @@ def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list
 
     def sigma_z(n, mu):
         params = ModelParams(alpha, homega, mu)
-        return sigma_z_residual(params, n) / float(np.max(np.abs(build_block(params, n))))
+        return sigma_z_residual(params, n) / _max_abs(x for row in build_block(params, n) for x in row)
 
     def metric_routes(n, mu, _):
         params = ModelParams(alpha, homega, mu)
         closed = eta(params, n).matrix
-        return float(np.max(np.abs(eta_from_vectors(params, n) - closed)))
+        vectors = eta_from_vectors(params, n)
+        return _max_abs(v - c for v_row, c_row in zip(vectors, closed) for v, c in zip(v_row, c_row))
 
     def intertwines(n, mu, unbroken):
         params = ModelParams(alpha, homega, mu)
         diag = verify_metric(params, n)
         if not (diag.positive_definite and diag.det_error < 1e-10):
             raise ArithmeticError(f"the closed metric is not positive definite with unit determinant: {diag}")
-        return diag.intertwining_residual / float(np.linalg.norm(build_block(params, n))) if unbroken else None
+        return diag.intertwining_residual / frobenius(build_block(params, n)) if unbroken else None
 
     def dual_route(n, mu, tau):
         params = ModelParams(alpha, homega, mu)
@@ -141,7 +148,7 @@ def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list
 
     def full_space(mu):
         report = symmetry_report(ModelParams(alpha, homega, mu), cutoff)
-        return max(report[:4]) / report.h_norm  # the four residuals over ||H||
+        return _max_abs(report[:4]) / report.h_norm  # the four residuals over ||H||
 
     checks = [
         ("sigma-z pseudo-hermiticity (blocks)", 1e-12, "max relative residual", "the block at n = {}, mu = {:.12g}",

@@ -95,7 +95,7 @@ def test_criterion_2_metric_reproduction():
         unbroken, broken = _region_grids(n)
         for mu in np.concatenate([unbroken, broken]):
             params = _params(float(mu))
-            diff = np.max(np.abs(eta_from_vectors(params, n) - eta(params, n).matrix))
+            diff = np.max(np.abs(np.subtract(eta_from_vectors(params, n), eta(params, n).matrix)))
             worst_route = max(worst_route, float(diff))
 
     ok = err_pinned < 1e-12 and worst_route < 1e-10
@@ -112,8 +112,8 @@ def test_criterion_3_intertwining():
         unbroken, _ = _region_grids(n)
         for mu in unbroken:
             params = _params(float(mu))
-            h = build_block(params, n)
-            g = eta(params, n).matrix
+            h = np.array(build_block(params, n))
+            g = np.array(eta(params, n).matrix)
             residual = np.linalg.norm(g @ h - h.conj().T @ g)
             worst = max(worst, float(residual / np.linalg.norm(h)))
     broken_residual = verify_metric(_params(3.0), 0).intertwining_residual
@@ -140,7 +140,7 @@ def test_criterion_4_partition_dual_route():
             disc = params.delta**2 - 4.0 * params.mu**2 * (n + 1)
             for tau in taus:
                 total += 1
-                raw = complex(np.trace(expm2(h, -1.0 / float(tau)) @ g))
+                raw = complex(np.trace(np.array(expm2(h, -1.0 / float(tau))) @ g))
                 worst_imag = max(worst_imag, abs(raw.imag) / max(abs(raw), 1e-300))
                 z_closed = thermo_point(params, n, float(tau)).z
                 # Relative comparison is meaningless straddling a cosine zero.

@@ -327,6 +327,22 @@ def test_verify_fails_a_check_whose_residual_is_nan(monkeypatch):
                      "the residual is nan")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_verify_fails_the_point_where_one_metric_entry_is_not_finite(monkeypatch, bad):
+    # The eigenvector metric's last entry at one point only: max() over the entries would drop a NaN there.
+    mu = 1.2 * critical_coupling(ModelParams(5.0, 1.0, 0.0), 2)
+    real = verify.eta_from_vectors
+
+    def poisoned(params, n):
+        (a, b), (c, d) = real(params, n)
+        return ((a, b), (c, bad)) if (n, params.mu) == (2, mu) else ((a, b), (c, d))
+
+    monkeypatch.setattr(verify, "eta_from_vectors", poisoned)
+    name = "metric routes agree (eigenvectors vs closed)"
+    check = {result.name: result for result in verify.run_checks(cutoff=2)}[name]
+    assert check == (name, False, f"cannot evaluate the metric at n = 2, mu = {mu:.12g}: the residual is {bad}")
+
+
 def test_verify_names_the_first_point_whose_metric_is_not_unimodular(monkeypatch):
     def verify_metric(params, n):
         diag = real(params, n)
@@ -416,7 +432,7 @@ def _sigma_z_residual_by_norms(params, n):
     # the first block whose norm leaves double range is n = 5, mu = 3.75e153.
     import numpy as np
 
-    h = verify.build_block(params, n)
+    h = np.array(verify.build_block(params, n))
     return abs(float(np.linalg.norm(h * [[1.0, -1.0], [-1.0, 1.0]])) - float(np.linalg.norm(h.conj().T)))
 
 

@@ -1,4 +1,8 @@
-"""numpy belongs to the matrix oracles: the production commands run, in a fresh interpreter, without it.
+"""numpy belongs to the dense full-space oracle: the production commands run, in a fresh interpreter, without it.
+
+So do the 2x2 matrix oracles (build_block, eig2, expm2, the metrics, the matrix-route partition function)
+and perfbench's output checker, which holds sampled rows to that partition function.  Only verify, whose
+truncated full space is dense, imports numpy.
 
 Nor do they load dataclasses or inspect, which cost every CLI child ~9 ms to import: records are NamedTuples.
 Nor multiprocessing, concurrent or threading: a large sweep forks its workers with os.fork alone.
@@ -79,6 +83,41 @@ def _fresh(source, *argv):
 )
 def test_production_commands_never_import_numpy(argv, code):
     assert _fresh(RUN, *argv) == [code, []]
+
+
+# Calls every 2x2 matrix oracle, then perfbench's checker with the matrix route on unbroken and
+# broken points, and prints the checker's problems and whether numpy was imported.
+ORACLES_AND_CHECKER = f"""
+import json, sys
+sys.path.insert(0, {str(BENCH)!r})
+from check import Problems, check_point
+from workloads import Point
+from spinosc import metric, model, smallmat, thermo, verify
+from spinosc.model import ModelParams
+
+for mu, n in ((1.0, 0), (3.0, 0), (0.5, 4)):
+    params = ModelParams(5.0, 1.0, mu)
+    block = model.build_block(params, n)
+    model.sigma_z_residual(params, n)
+    smallmat.eig2(block)
+    smallmat.expm2(block, -1.0)
+    smallmat.frobenius(block)
+    verify._max_abs(x for row in block for x in row)
+    metric.eta(params, n)
+    metric.eta_from_vectors(params, n)
+    metric.verify_metric(params, n)
+    thermo.partition_function(params, n, 1.0)
+problems = Problems()
+for n, mu, tau in ((0, 0.5, 1.0), (1, 1.0, 5.0), (0, 2.5, 2.0), (0, 3.0, 1.0), (2, 2.0, 0.7)):
+    point = thermo.thermo_point(ModelParams(5.0, 1.0, mu), n, tau)
+    check_point(problems, f"n={{n}} mu={{mu}} tau={{tau}}", Point(5.0, 1.0, n, mu, tau), point.region.value,
+                point.z, point.free_energy, point.entropy, point.specific_heat, None, None, oracle=True)
+print(json.dumps([list(problems), "numpy" in sys.modules]))
+"""
+
+
+def test_matrix_oracles_and_the_bench_checker_never_import_numpy():
+    assert _fresh(ORACLES_AND_CHECKER) == [[], False]
 
 
 def test_verify_imports_numpy():

@@ -30,8 +30,9 @@ def test_left_projector_sum_refuses_a_pair_whose_overlap_vanishes(monkeypatch):
     real = metric.eig2
 
     def orthogonal_pairs(m):
-        pairs = real(m)
-        return tuple(p._replace(left_vector=np.array([-p.right_vector[1], p.right_vector[0]]).conj()) for p in pairs)
+        return tuple(
+            p._replace(left_vector=(-p.right_vector[1].conjugate(), p.right_vector[0].conjugate())) for p in real(m)
+        )
 
     monkeypatch.setattr(metric, "eig2", orthogonal_pairs)
     with pytest.raises(DefectiveMatrix, match="left/right overlap vanishes") as info:
@@ -82,7 +83,7 @@ def test_eta_routes_agree_both_regions(alpha, n):
     for factor in (0.1, 0.5, 0.9, 1.1, 1.6, 2.7):
         params = ModelParams(alpha, 1.0, factor * mu_c)
         closed = eta(params, n).matrix
-        vectors = eta_from_vectors(params, n)
+        vectors = np.array(eta_from_vectors(params, n))
         assert np.max(np.abs(vectors - closed)) <= 1e-10
         assert np.max(np.abs(vectors.imag)) <= 1e-12
 
@@ -90,7 +91,7 @@ def test_eta_routes_agree_both_regions(alpha, n):
 @pytest.mark.parametrize("mu,n", [(0.4, 0), (1.9, 0), (2.1, 0), (3.0, 0), (0.5, 4), (1.0, 6)])
 def test_eta_is_symmetric_unit_determinant_positive(mu, n):
     result = eta(ModelParams(**FIG, mu=mu), n)
-    g = result.matrix
+    g = np.array(result.matrix)
     assert np.max(np.abs(g - g.T)) < 1e-12
     assert abs(np.linalg.det(g) - 1.0) < 1e-10
     eigenvalues = np.linalg.eigvalsh(g)

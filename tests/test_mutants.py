@@ -41,7 +41,8 @@ class Mutant(NamedTuple):
 _MU = ("fullspace.py", "+ params.mu * (np.kron(a, sigma_plus)", "+ params.mu * (1 + 1e-9) * (np.kron(a, sigma_plus)")
 _ALPHA = ("fullspace.py", "0.5 * params.alpha * np.kron(eye_osc, sigma_z)",
           "0.5 * params.alpha * (1 + 1e-9) * np.kron(eye_osc, sigma_z)")
-_BLOCK_COUPLING = ("model.py", "[-coupling, -0.5 * params.alpha", "[-coupling * (1 + 1e-9), -0.5 * params.alpha")
+_BLOCK_COUPLING = ("model.py", "(complex(-coupling), complex(-0.5 * params.alpha",
+                   "(complex(-coupling * (1 + 1e-9)), complex(-0.5 * params.alpha")
 _DEFAULTS = ("--alpha", "5")
 # The defaults times 2**-40, exactly.
 _DEFAULTS_SCALED = ("--alpha", "4.547473508864641e-12", "--homega", "9.094947017729282e-13")
@@ -69,16 +70,30 @@ MUTANTS = {
                              "off = -sign * abs(params.delta) / d * (1 + 1e-9)",
                              _DEFAULTS, 4, frozenset({METRIC_ROUTES, INTERTWINES})),
     # eig2's vectors and second eigenvalue reach verify only through the eigenvector metric.
-    "eig2-left-vector-at-lambda": Mutant("smallmat.py", "_null_vector(adj, np.conj(lam))", "_null_vector(adj, lam)",
+    "eig2-left-vector-at-lambda": Mutant("smallmat.py", "_null_vector(adj, lam.conjugate())", "_null_vector(adj, lam)",
                                          _DEFAULTS, 4, frozenset({METRIC_ROUTES})),
     "eig2-second-eigenvalue": Mutant("smallmat.py", "lam2 = det / lam1", "lam2 = det / lam1 * (1 + 1e-9)",
                                      _DEFAULTS, 4, frozenset({METRIC_ROUTES})),
-    "eig2-second-row-sign": Mutant("smallmat.py", "v2 = np.array([lam - d, c]", "v2 = np.array([lam - d, -c]",
+    "eig2-second-row-sign": Mutant("smallmat.py", "v2 = (lam - d, c)", "v2 = (lam - d, -c)",
                                    _DEFAULTS, 4, frozenset({METRIC_ROUTES})),
     # The block's lower coupling, at the defaults and at 2**-40 times them, where the sigma-z row reads alike.
     "block-coupling": Mutant(*_BLOCK_COUPLING, _DEFAULTS, 4, frozenset({SIGMA_Z, INTERTWINES, DUAL_ROUTE})),
     "block-coupling-scaled": Mutant(*_BLOCK_COUPLING, _DEFAULTS_SCALED, 4,
                                     frozenset({SIGMA_Z, INTERTWINES, DUAL_ROUTE})),
+    # The kernel's Z in each branch, against the matrix trace.
+    "kernel-unbroken-z": Mutant("thermo.py", "cv = x * x / (c * c)\n        z = prefactor * damping * c",
+                                "cv = x * x / (c * c)\n        z = prefactor * damping * c * (1 + 1e-9)",
+                                _DEFAULTS, 4, frozenset({DUAL_ROUTE})),
+    "kernel-broken-z": Mutant("thermo.py", "cv = x * x * (-1.0 - t * t)\n        z = prefactor * damping * c",
+                              "cv = x * x * (-1.0 - t * t)\n        z = prefactor * damping * c * (1 + 1e-9)",
+                              _DEFAULTS, 4, frozenset({DUAL_ROUTE})),
+    # expm2 reaches verify only through the trace Z = tr(exp(-H/tau) eta): its cosh term carries all of Z.
+    "expm2-cosh-term": Mutant("smallmat.py", "cosh = cmath.cosh(sq)", "cosh = cmath.cosh(sq) * (1 + 1e-9)",
+                              _DEFAULTS, 4, frozenset({DUAL_ROUTE})),
+    # A survivor: the sinh term is sinh(s q)/q times the traceless block M, and tr(M eta) = 0 for the
+    # model's metric, so no trace sees it.  Only the tests' series and 50-digit expm oracles do.
+    "expm2-sinh-term": Mutant("smallmat.py", "cmath.sinh(sq) / q", "cmath.sinh(sq) / q * (1 + 1e-9)",
+                              _DEFAULTS, 0, frozenset()),
 }
 
 

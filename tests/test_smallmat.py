@@ -1,3 +1,7 @@
+import collections
+import math
+import random
+
 import mpmath
 import numpy as np
 import pytest
@@ -56,10 +60,11 @@ def test_eig2_reference_values_against_companion_roots():
 def test_eig2_vector_residuals(m):
     norm = np.linalg.norm(m)
     for p in eig2(m):
-        right_res = np.linalg.norm(m @ p.right_vector - p.value * p.right_vector)
-        left_res = np.linalg.norm(m.conj().T @ p.left_vector - np.conj(p.value) * p.left_vector)
-        assert right_res <= 1e-12 * norm * np.linalg.norm(p.right_vector)
-        assert left_res <= 1e-12 * norm * np.linalg.norm(p.left_vector)
+        right, left = np.array(p.right_vector), np.array(p.left_vector)
+        right_res = np.linalg.norm(m @ right - p.value * right)
+        left_res = np.linalg.norm(m.conj().T @ left - np.conj(p.value) * left)
+        assert right_res <= 1e-12 * norm * np.linalg.norm(right)
+        assert left_res <= 1e-12 * norm * np.linalg.norm(left)
 
 
 @pytest.mark.parametrize("m", MATRICES)
@@ -171,11 +176,11 @@ def test_expm2_near_coalescence_against_50_digit_values():
                 for mu in (mu_c * (1.0 + sign * 10.0**-k) for k in range(3, 16) for sign in (1.0, -1.0)):
                     h = build_block(ModelParams(alpha, 1.0, mu), n)
                     for tau in (0.1 * abs(delta), abs(delta), 10.0 * abs(delta)):
-                        exact = mpmath.expm(mpmath.matrix(h.tolist()) * (-1.0 / tau))
+                        exact = mpmath.expm(mpmath.matrix(h) * (-1.0 / tau))
                         norm = mpmath.mnorm(exact, "f")
                         if not tiny <= norm <= huge:
                             continue  # the exact result lies outside double range
-                        error = mpmath.mnorm(exact - mpmath.matrix(expm2(h, -1.0 / tau).tolist()), "f") / norm
+                        error = mpmath.mnorm(exact - mpmath.matrix(expm2(h, -1.0 / tau)), "f") / norm
                         worst = max(worst, float(error))
                         compared += 1
     assert compared > 400
@@ -184,7 +189,7 @@ def test_expm2_near_coalescence_against_50_digit_values():
 
 @pytest.mark.parametrize("m", MATRICES)
 def test_expm2_inverse_identity(m):
-    product = expm2(m, 0.7) @ expm2(m, -0.7)
+    product = np.array(expm2(m, 0.7)) @ np.array(expm2(m, -0.7))
     assert np.linalg.norm(product - np.eye(2)) <= 1e-10
 
 
@@ -193,6 +198,78 @@ def test_expm2_determinant_identity(m):
     det = np.linalg.det(expm2(m, -1.3))
     expected = np.exp(-1.3 * np.trace(m))
     assert abs(det - expected) <= 1e-10 * abs(expected)
+
+
+def _seeded_blocks(count=500, seed=2026):
+    """(kind, block) pairs of complex 2x2 matrices as nested tuples, four kinds in turn.
+
+    generic: Gaussian entries; q0: c I + x [[1, 1], [-1, -1]], whose traceless part squares to exactly 0;
+    imaginary-q: c I + [[a, t], [-t, -a]] with real |t| > |a|; model: build_block at 2**-40 or 2**40 times
+    a random point, alpha in [-10, 10], mu in [0, 5], n below 50.
+    """
+    rng = random.Random(seed)
+
+    def gauss():
+        return complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+
+    for k in range(count):
+        kind = ("generic", "q0", "imaginary-q", "model")[k % 4]
+        if kind == "generic":
+            yield kind, ((gauss(), gauss()), (gauss(), gauss()))
+        elif kind == "q0":
+            c, x = gauss(), gauss()
+            yield kind, ((c + x, x), (-x, c - x))
+        elif kind == "imaginary-q":
+            c, a = gauss(), rng.gauss(0.0, 1.0)
+            t = rng.choice((-1.0, 1.0)) * (abs(a) + rng.uniform(0.1, 3.0))
+            yield kind, ((c + a, t), (-t, c - a))
+        else:
+            s = 2.0 ** rng.choice((-40, 40))
+            params = ModelParams(rng.uniform(-10.0, 10.0) * s, s, rng.uniform(0.0, 5.0) * s)
+            yield kind, build_block(params, rng.randrange(50))
+
+
+def test_kernels_match_numpy_on_seeded_blocks():
+    # numpy is the independent reference: LAPACK's eigenvalues and the scaled Taylor series.
+    kinds = collections.Counter()
+    for kind, block in _seeded_blocks():
+        kinds[kind] += 1
+        m = np.array(block)
+        norm = np.linalg.norm(m)
+        if kind == "q0":
+            with pytest.raises(DefectiveMatrix):
+                eig2(block)
+        else:
+            pairs = eig2(block)
+            reference = list(np.linalg.eigvals(m))
+            for p in pairs:
+                nearest = min(reference, key=lambda value: abs(value - p.value))
+                reference.remove(nearest)
+                assert abs(p.value - nearest) <= 1e-12 * norm, (kind, block)
+                right, left = np.array(p.right_vector), np.array(p.left_vector)
+                right_res = np.linalg.norm(m @ right - p.value * right)
+                left_res = np.linalg.norm(m.conj().T @ left - np.conj(p.value) * left)
+                assert right_res <= 1e-12 * norm * np.linalg.norm(right)
+                assert left_res <= 1e-12 * norm * np.linalg.norm(left)
+        for scale in (-2.0, -0.5, 1.0):
+            ref = _series_expm(m, scale / norm)
+            out = np.array(expm2(block, scale / norm))
+            assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref), (kind, block)
+    assert kinds == {"generic": 125, "q0": 125, "imaginary-q": 125, "model": 125}
+
+
+def test_kernels_take_any_2x2_nested_sequence_and_return_tuples():
+    block = [[2.5, 1.0], [-1.0, -1.5]]
+    for m in (block, tuple(map(tuple, block)), np.array(block), np.array(block, dtype=complex)):
+        out = expm2(m, -1.0)
+        assert type(out) is tuple and all(type(row) is tuple and all(type(x) is complex for x in row) for row in out)
+        assert out == expm2(block, -1.0)
+        assert eig2(m) == eig2(block)
+    for bad in ([[1.0, 2.0]], np.eye(3), [[1.0, 2.0], [3.0]], [["a", 1.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="^expected a 2x2 matrix of numbers$"):
+            eig2(bad)
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        expm2([[1.0, math.nan], [0.0, 1.0]], 1.0)
 
 
 def test_eigN_identity():

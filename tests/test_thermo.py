@@ -94,7 +94,7 @@ def test_matrix_and_closed_routes_agree(n, factor, tau):
 @pytest.mark.parametrize("mu,n,tau", [(1.0, 0, 1.0), (2.5, 0, 2.0), (0.5, 4, 0.7), (3.0, 0, 1.0)])
 def test_raw_trace_is_real(mu, n, tau):
     params = ModelParams(**FIG, mu=mu)
-    raw = complex(np.trace(expm2(build_block(params, n), -1.0 / tau) @ eta(params, n).matrix))
+    raw = complex(np.trace(np.array(expm2(build_block(params, n), -1.0 / tau)) @ eta(params, n).matrix))
     assert abs(raw.imag) <= 1e-10 * abs(raw)
 
 
