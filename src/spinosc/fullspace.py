@@ -2,43 +2,57 @@
 
 Oscillator levels 0..cutoff are retained; the basis interleaves spin inside
 level, index = 2*n + (0 for spin up, 1 for spin down), i.e.
-|0,+>, |0,->, |1,+>, |1,->, ...  H is assembled from the ladder and spin
-operators as Kronecker products osc (x) spin in that order.  The symmetry
-residuals act on its entries instead: sigma_z and the Fock parity are the
-sign vectors (1, -1, 1, -1, ...) and (-1)**n on both spins of level n, and
-the PT flip swaps the two spins of every level.  The model is not PT
-symmetric: H_pt - H = -alpha sigma_z + mu sigma_x (a^dag - a), entrywise.
+|0,+>, |0,->, |1,+>, |1,->, ...  H is a sparse map from (row, column) to its
+nonzero entries, assembled from the ladder and spin operators as Kronecker
+products osc (x) spin in that order.  The symmetry residuals act on its
+entries: sigma_z and the Fock parity are the sign lists (1, -1, 1, -1, ...)
+and (-1)**n on both spins of level n, and the PT flip swaps the two spins of
+every level.  The model is not PT symmetric:
+H_pt - H = -alpha sigma_z + mu sigma_x (a^dag - a), entrywise.
 
-Truncation cuts the raising edge out of the top level, so the invariant
-2x2 block starting at |cutoff,+> loses its partner state; spectral
-comparisons exclude that single leftover basis state instead of padding.
+The block check reads the same map block by block, with no dense solver.
+An entry outside the invariant 2x2 blocks {|n,+>, |n+1,->}, the ground state
+|0,-> and the leftover |cutoff,+> counts as a deviation of its size, so the
+invariance is checked exactly.  Truncation cuts the raising edge out of the
+top level, so the block starting at |cutoff,+> loses its partner state; the
+spectral comparison excludes that single leftover basis state.
 """
 
 from __future__ import annotations
 
 import math
 from numbers import Integral
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .model import ModelParams
-from .smallmat import eigN
+from .smallmat import DefectiveMatrix, eig2
 from .spectral import block_spectrum
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "assemble_full",
     "block_decomposition_check",
     "symmetry_report",
     "BlockCheck",
+    "SparseMatrix",
     "SymmetryReport",
 ]
 
-# Spin operators in the order [+1/2, -1/2], as complex matrices once numpy holds them.
-_SIGMA_Z = [[1.0, 0.0], [0.0, -1.0]]
-_SIGMA_PLUS = [[0.0, 1.0], [0.0, 0.0]]
-_SIGMA_MINUS = [[0.0, 0.0], [1.0, 0.0]]
+# Spin operators in the order [+1/2, -1/2], as their nonzero entries.
+_SPIN_EYE = {(0, 0): 1.0, (1, 1): 1.0}
+_SIGMA_Z = {(0, 0): 1.0, (1, 1): -1.0}
+_SIGMA_X = {(0, 1): 1.0, (1, 0): 1.0}
+_SIGMA_PLUS = {(0, 1): 1.0}
+_SIGMA_MINUS = {(1, 0): 1.0}
+
+
+class SparseMatrix(dict):
+    """The nonzero entries of a dim x dim complex matrix, keyed by (row, column)."""
+
+    __slots__ = ("dim",)
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
 
 
 def _check_cutoff(cutoff: int) -> int:
@@ -50,29 +64,37 @@ def _check_cutoff(cutoff: int) -> int:
     return int(cutoff)
 
 
-def _lowering(levels: int) -> np.ndarray:
-    import numpy as np
-
-    a = np.zeros((levels, levels), dtype=complex)
-    for n in range(levels - 1):
-        a[n, n + 1] = math.sqrt(n + 1.0)
-    return a
+def _lowering(levels: int) -> dict:
+    """The ladder operator a on levels 0..levels-1 as its nonzero entries: <n|a|n+1> = sqrt(n+1)."""
+    return {(n, n + 1): math.sqrt(n + 1.0) for n in range(levels - 1)}
 
 
-def assemble_full(params: ModelParams, cutoff: int) -> np.ndarray:
+def _kron_sum(levels: int, terms) -> SparseMatrix:
+    """The sum of scale * (osc (x) spin) over terms (scale, osc, spin), with its zero entries dropped."""
+    total = SparseMatrix(2 * levels)
+    for scale, osc, spin in terms:
+        for (i, j), x in osc.items():
+            for (k, m), y in spin.items():
+                key = (2 * i + k, 2 * j + m)
+                total[key] = total.get(key, 0j) + scale * x * y
+    for key in [key for key, value in total.items() if value == 0]:
+        del total[key]
+    return total
+
+
+def assemble_full(params: ModelParams, cutoff: int) -> SparseMatrix:
     """(alpha/2) sigma_z + homega a^dag a + mu (sigma_+ a - sigma_- a^dag) on oscillator levels 0..cutoff."""
-    import numpy as np
-
     levels = _check_cutoff(cutoff) + 1
-    a = _lowering(levels)
-    number = a.conj().T @ a
-    eye_osc = np.eye(levels, dtype=complex)
-    sigma_z, sigma_plus, sigma_minus = (np.array(s, dtype=complex) for s in (_SIGMA_Z, _SIGMA_PLUS, _SIGMA_MINUS))
-    return (
-        0.5 * params.alpha * np.kron(eye_osc, sigma_z)
-        + params.homega * np.kron(number, np.eye(2, dtype=complex))
-        + params.mu * (np.kron(a, sigma_plus) - np.kron(a.conj().T, sigma_minus))
-    )
+    lowering = _lowering(levels)
+    raising = {(j, i): x for (i, j), x in lowering.items()}  # a^dag: a is real
+    number = {(j, j): x * x for (_, j), x in lowering.items()}  # a^dag a: a has one entry per column
+    eye = {(n, n): 1.0 for n in range(levels)}
+    return _kron_sum(levels, [
+        (0.5 * params.alpha, eye, _SIGMA_Z),
+        (params.homega, number, _SPIN_EYE),
+        (params.mu, lowering, _SIGMA_PLUS),
+        (-params.mu, raising, _SIGMA_MINUS),
+    ])
 
 
 class SymmetryReport(NamedTuple):
@@ -92,73 +114,90 @@ class SymmetryReport(NamedTuple):
     h_norm: float
 
 
-def _pt_closed(params: ModelParams, sz: np.ndarray) -> np.ndarray:
-    """H_pt - H as the model states it, -alpha sigma_z + mu sigma_x (a^dag - a); sz is sigma_z's diagonal."""
-    import numpy as np
+def _pt_closed(params: ModelParams, levels: int) -> SparseMatrix:
+    """H_pt - H as the model states it, -alpha sigma_z + mu sigma_x (a^dag - a)."""
+    lowering = _lowering(levels)
+    difference = {**{(j, i): x for (i, j), x in lowering.items()}, **{key: -x for key, x in lowering.items()}}
+    eye = {(n, n): 1.0 for n in range(levels)}
+    return _kron_sum(levels, [(-params.alpha, eye, _SIGMA_Z), (params.mu, difference, _SIGMA_X)])
 
-    a = _lowering(sz.size // 2)
-    closed = np.kron(a.T - a, [[0.0, params.mu], [params.mu, 0.0]])
-    np.fill_diagonal(closed, -params.alpha * sz)
-    return closed
+
+def _norm(entries) -> float:
+    """Frobenius norm by math.hypot, as smallmat.frobenius takes it: no entry is squared."""
+    return math.hypot(*(abs(x) for x in entries))
 
 
 def symmetry_report(params: ModelParams, cutoff: int) -> SymmetryReport:
-    import numpy as np
-
     h = assemble_full(params, cutoff)
-    levels = h.shape[0] // 2
-    # Conjugation by a sign vector v scales entry (i, j) by v_i v_j; the commutator with the grading
+    levels = h.dim // 2
+    closed = _pt_closed(params, levels)
+    # Conjugation by a sign list v scales entry (i, j) by v_i v_j; the commutator with the grading
     # g = P sigma_z scales it by g_j - g_i.  sigma_y on every level swaps i <-> i ^ 1 with signs sz_i sz_j.
-    sz = np.tile([1.0, -1.0], levels)
-    parity = np.repeat((-1.0) ** np.arange(levels), 2)
-    grading = parity * sz
-    swap = np.arange(2 * levels) ^ 1
-    pt_residual = float(np.linalg.norm((np.outer(sz, sz) * h[np.ix_(swap, swap)]).conj() - h - _pt_closed(params, sz)))
-    h_dag = h.conj().T  # after the PT residual: its temporaries and h_dag are never alive together
+    sz = [1.0, -1.0] * levels
+    parity = [(-1.0) ** (i // 2) for i in range(2 * levels)]
+    grading = [p * s for p, s in zip(parity, sz)]
+    # Every position where H, H^dagger, H_pt or K has an entry, in row-major order: a zero adds nothing.
+    keys = h.keys() | {(j, i) for i, j in h}
+    keys = sorted(keys | {(i ^ 1, j ^ 1) for i, j in keys} | closed.keys())
+
+    def at(i, j):
+        return h.get((i, j), 0j)
+
     return SymmetryReport(
-        commutator_residual=float(np.linalg.norm(h * (grading[None, :] - grading[:, None]))),
-        sigma_z_residual=float(np.linalg.norm(np.outer(sz, sz) * h - h_dag)),
-        parity_residual=float(np.linalg.norm(np.outer(parity, parity) * h - h_dag)),
-        pt_residual=pt_residual,
-        h_norm=float(np.linalg.norm(h)),
+        commutator_residual=_norm(at(i, j) * (grading[j] - grading[i]) for i, j in keys),
+        sigma_z_residual=_norm(sz[i] * sz[j] * at(i, j) - at(j, i).conjugate() for i, j in keys),
+        parity_residual=_norm(parity[i] * parity[j] * at(i, j) - at(j, i).conjugate() for i, j in keys),
+        pt_residual=_norm(
+            (sz[i] * sz[j] * at(i ^ 1, j ^ 1)).conjugate() - at(i, j) - closed.get((i, j), 0j) for i, j in keys
+        ),
+        h_norm=_norm(at(i, j) for i, j in keys),
     )
 
 
 class BlockCheck(NamedTuple):
-    """Multiset comparison of the truncated spectrum against the closed-form blocks."""
+    """The truncated map against the closed-form blocks.
+
+    max_deviation   -- the largest of: |entry| outside the blocks, the ground
+                       state's distance from -alpha/2, and each block's
+                       eigenvalue pair's distance from block_spectrum's
+    computed        -- the ground state's value, then each block's pair in order of n
+    excluded_value  -- the leftover |cutoff,+>'s diagonal entry
+    """
 
     max_deviation: float
-    computed: np.ndarray
+    computed: tuple[complex, ...]
     excluded_value: float
 
 
 def block_decomposition_check(params: ModelParams, cutoff: int) -> BlockCheck:
-    """Spectrum of the assembled matrix (leftover top state removed) versus
-    the ground-state value and the closed-form spectra of the complete blocks.
-    """
-    import numpy as np
+    """The assembled map block by block against the ground-state value and the closed-form blocks.
 
+    Each block's eigenvalues are eig2's, or the coalesced pair where eig2
+    finds the block defective; a pair matches block_spectrum's in whichever
+    order lies closer.
+    """
     cutoff = _check_cutoff(cutoff)
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2 for a block comparison, got {cutoff}")
     h = assemble_full(params, cutoff)
 
-    # |cutoff,+> lost its raising partner; drop it before the eigensolve.
+    # |cutoff,+> lost its raising partner: it stands alone, as the ground state |0,-> does.
     leftover = 2 * cutoff
-    excluded_value = float(h[leftover, leftover].real)
-    keep = [i for i in range(h.shape[0]) if i != leftover]
-    computed = eigN(h[np.ix_(keep, keep)])
+    blocks = [(2 * n, 2 * n + 3) for n in range(cutoff)]
+    inside = {(1, 1), (leftover, leftover)} | {(i, j) for block in blocks for i in block for j in block}
+    deviations = [abs(value) for key, value in h.items() if key not in inside]
 
-    expected = [complex(-0.5 * params.alpha)]
-    for n in range(cutoff):
+    ground = h.get((1, 1), 0j)
+    deviations.append(abs(ground + 0.5 * params.alpha))
+    computed = [ground]
+    for n, (i, j) in enumerate(blocks):
+        block = ((h.get((i, i), 0j), h.get((i, j), 0j)), (h.get((j, i), 0j), h.get((j, j), 0j)))
+        try:
+            values = tuple(pair.value for pair in eig2(block))
+        except DefectiveMatrix as exc:
+            values = exc.eigenvalues
         spectrum = block_spectrum(params, n)
-        expected.extend([spectrum.e_plus, spectrum.e_minus])
-
-    remaining = computed.tolist()
-    max_deviation = 0.0
-    for value in expected:
-        distances = [abs(value - other) for other in remaining]
-        best = int(np.argmin(distances))
-        max_deviation = max(max_deviation, distances[best])
-        remaining.pop(best)
-    return BlockCheck(float(max_deviation), computed, excluded_value)
+        expected = (spectrum.e_plus, spectrum.e_minus)
+        deviations.append(min(max(abs(v - e) for v, e in zip(values, order)) for order in (expected, expected[::-1])))
+        computed.extend(values)
+    return BlockCheck(max(deviations), tuple(computed), h.get((leftover, leftover), 0j).real)

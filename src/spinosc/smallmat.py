@@ -1,16 +1,17 @@
 """Small matrix kernels: closed-form 2x2 eigendecomposition and 2x2 matrix
 exponential via the trace split, in complex arithmetic on nested tuples, and
-a general N x N eigenvalue solve by numpy used only for oracle-style cross checks.
+a general N x N eigenvalue solve by numpy.
+
+eigN is the package's only use of numpy, imported when it runs.  Only the
+tests' dense cross-check of the truncated full space calls it; it stays
+because the benchmark's tracer names it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import NamedTuple
 
 __all__ = [
     "DefectiveMatrix",
@@ -148,8 +149,8 @@ def expm2(m, scale: float) -> Block:
     raise OverflowError(f"exp({scale!r} * m) leaves double range")
 
 
-def eigN(m) -> np.ndarray:
-    """All eigenvalues of a general complex dense matrix (oracle use only); numpy's LinAlgError is a ValueError."""
+def eigN(m):
+    """All eigenvalues of a general complex dense matrix, as a numpy array; numpy's LinAlgError is a ValueError."""
     import numpy as np
 
     m = np.asarray(m, dtype=complex)

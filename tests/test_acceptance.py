@@ -254,7 +254,7 @@ def test_criterion_7_fullspace_oracle():
     ground_ok = True
     for mu in (0.0, 0.6, 1.0, 1.3, 3.0):
         check = block_decomposition_check(_params(mu), cutoff)
-        ground_ok = ground_ok and min(abs(check.computed - (-2.5))) < 1e-8
+        ground_ok = ground_ok and min(abs(value + 2.5) for value in check.computed) < 1e-8
 
     params = _params(1.0)
     report = symmetry_report(params, cutoff)

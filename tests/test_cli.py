@@ -427,34 +427,44 @@ def test_verify_refuses_a_discriminant_that_overflows_on_its_grid(alpha, homega)
         verify.run_checks(alpha, homega, cutoff=4)
 
 
-def _sigma_z_residual_by_norms(params, n):
-    # A sigma-z oracle that squares the block's entries, as a Frobenius norm does: at alpha 5e153
-    # the first block whose norm leaves double range is n = 5, mu = 3.75e153.
-    import numpy as np
+def _norm_by_squares(entries):
+    # A Frobenius norm that squares each entry: fsum raises OverflowError once the sum leaves double range.
+    return math.sqrt(math.fsum(abs(x) ** 2 for x in entries))
 
-    h = np.array(verify.build_block(params, n))
-    return abs(float(np.linalg.norm(h * [[1.0, -1.0], [-1.0, 1.0]])) - float(np.linalg.norm(h.conj().T)))
+
+def _sigma_z_residual_by_norms(params, n):
+    # A sigma-z oracle that squares the block's entries: at alpha 5e153 the first block whose
+    # norm leaves double range is n = 5, mu = 3.75e153.
+    (a, b), (c, d) = verify.build_block(params, n)
+    return abs(_norm_by_squares((a, -b, -c, d)) - _norm_by_squares((a, c, b, d)))
+
+
+def _symmetry_report_by_squares(params, cutoff):
+    # A full-space oracle whose ||H|| squares H's entries, as a dense norm does: at alpha 5e153 and
+    # cutoff 8, ||H||**2 leaves double range at the row's one point, mu = 1.25e153.
+    report = fullspace.symmetry_report(params, cutoff)
+    return report._replace(h_norm=_norm_by_squares(fullspace.assemble_full(params, cutoff).values()))
 
 
 @pytest.mark.parametrize(
-    "args,name,detail,sigma_z_residual",
+    "args,name,detail,patch",
     [
         (("--alpha", "5e153", "verify", "--cutoff", "8"),
          "full-space symmetries and PT image (grading, sigma-z, parity, H_pt - H)",
-         "cannot evaluate the full space at mu = 1.25e+153: overflow encountered in dot", None),
+         "cannot evaluate the full space at mu = 1.25e+153: intermediate overflow in fsum",
+         ("symmetry_report", _symmetry_report_by_squares)),
         (("--alpha", "5e-310", "--homega", "1e-310", "verify"), "metric routes agree (eigenvectors vs closed)",
          "cannot evaluate the metric at n = 0, mu = 4e-311: metric is singular at mu = 4e-311 "
          "(coalescence for subspace n = 0)", None),
         # The row's own oracle squares nothing and evaluates at every point (see the next test).
         (("--alpha", "5e153", "verify", "--cutoff", "4"), "sigma-z pseudo-hermiticity (blocks)",
-         "cannot evaluate the block at n = 5, mu = 3.75e+153: overflow encountered in dot",
-         _sigma_z_residual_by_norms),
+         "cannot evaluate the block at n = 5, mu = 3.75e+153: intermediate overflow in fsum",
+         ("sigma_z_residual", _sigma_z_residual_by_norms)),
     ],
 )
-def test_verify_fails_the_first_point_an_oracle_cannot_evaluate(capsys, monkeypatch, args, name, detail,
-                                                                 sigma_z_residual):
-    if sigma_z_residual is not None:
-        monkeypatch.setattr(verify, "sigma_z_residual", sigma_z_residual)
+def test_verify_fails_the_first_point_an_oracle_cannot_evaluate(capsys, monkeypatch, args, name, detail, patch):
+    if patch is not None:
+        monkeypatch.setattr(verify, *patch)
     status = main(list(args))
     out, err = capsys.readouterr()
     assert (status, err) == (4, "")
@@ -464,23 +474,23 @@ def test_verify_fails_the_first_point_an_oracle_cannot_evaluate(capsys, monkeypa
 def test_verify_full_space_row_evaluates_where_its_norms_are_in_range(capsys):
     # At cutoff 4, ||H|| is 9.7e153 and every residual is 0, while ||H_pt - H|| (1.6e154) would overflow
     # when squared: the row compares H_pt - H with its closed form entry by entry, so it evaluates.
+    # At cutoff 8, ||H|| (1.5e154) would itself overflow when squared; math.hypot squares no entry.
     # The block at n = 5, mu = 3.75e153 has a Frobenius norm beyond double range; the sigma-z row
     # divides by its largest |entry|, which squares nothing, so it evaluates too.
-    status, lines = run_verify_in_process(capsys, "--alpha=5e153", cutoff=4)
-    assert status == 4
-    assert "PASS full-space symmetries and PT image (grading, sigma-z, parity, H_pt - H): max relative residual " \
-           "0.000e+00" in lines
-    assert "PASS sigma-z pseudo-hermiticity (blocks): max relative residual 0.000e+00" in lines
+    for cutoff in (4, 8):
+        status, lines = run_verify_in_process(capsys, "--alpha=5e153", cutoff=cutoff)
+        assert status == 4
+        assert "PASS full-space symmetries and PT image (grading, sigma-z, parity, H_pt - H): max relative " \
+               "residual 0.000e+00" in lines
+        assert "PASS sigma-z pseudo-hermiticity (blocks): max relative residual 0.000e+00" in lines
 
 
-def test_verify_fails_the_truncated_spectrum_row_where_the_dense_solver_does_not_converge(monkeypatch):
-    # numpy's LinAlgError is a ValueError, so it reaches the check as its FAIL line.
-    import numpy as np
-
+def test_verify_fails_the_truncated_spectrum_row_where_a_block_solver_raises(monkeypatch):
+    # A ValueError inside the block check reaches the row as its FAIL line.
     def not_converged(m):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        raise ValueError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(fullspace, "eigN", not_converged)
+    monkeypatch.setattr(fullspace, "eig2", not_converged)
     check = {result.name: result for result in verify.run_checks(cutoff=2)}["truncated spectrum matches block union"]
     assert check == ("truncated spectrum matches block union", False,
                      "cannot evaluate the truncated spectrum at mu = 0: Eigenvalues did not converge")

@@ -1,8 +1,9 @@
-"""numpy belongs to the dense full-space oracle: the production commands run, in a fresh interpreter, without it.
+"""No command imports numpy: each runs, in a fresh interpreter, without it.
 
-So do the 2x2 matrix oracles (build_block, eig2, expm2, the metrics, the matrix-route partition function)
-and perfbench's output checker, which holds sampled rows to that partition function.  Only verify, whose
-truncated full space is dense, imports numpy.
+Nor do the matrix oracles: the 2x2 ones (build_block, eig2, expm2, the metrics, the matrix-route
+partition function), the truncated full space, which is a sparse map checked block by block, verify,
+and perfbench's output checker, which holds sampled rows to that partition function.  The one
+`import numpy` left in the package is inside smallmat.eigN, which only the tests' dense cross-check calls.
 
 Nor do they load dataclasses or inspect, which cost every CLI child ~9 ms to import: records are NamedTuples.
 Nor multiprocessing, concurrent or threading: a large sweep forks its workers with os.fork alone.
@@ -85,14 +86,14 @@ def test_production_commands_never_import_numpy(argv, code):
     assert _fresh(RUN, *argv) == [code, []]
 
 
-# Calls every 2x2 matrix oracle, then perfbench's checker with the matrix route on unbroken and
+# Calls every 2x2 matrix oracle, the full space and verify, then perfbench's checker with the matrix route on unbroken and
 # broken points, and prints the checker's problems and whether numpy was imported.
 ORACLES_AND_CHECKER = f"""
 import json, sys
 sys.path.insert(0, {str(BENCH)!r})
 from check import Problems, check_point
 from workloads import Point
-from spinosc import metric, model, smallmat, thermo, verify
+from spinosc import fullspace, metric, model, smallmat, thermo, verify
 from spinosc.model import ModelParams
 
 for mu, n in ((1.0, 0), (3.0, 0), (0.5, 4)):
@@ -107,6 +108,9 @@ for mu, n in ((1.0, 0), (3.0, 0), (0.5, 4)):
     metric.eta_from_vectors(params, n)
     metric.verify_metric(params, n)
     thermo.partition_function(params, n, 1.0)
+    fullspace.symmetry_report(params, 8)
+    fullspace.block_decomposition_check(params, 8)
+verify.run_checks(cutoff=2)
 problems = Problems()
 for n, mu, tau in ((0, 0.5, 1.0), (1, 1.0, 5.0), (0, 2.5, 2.0), (0, 3.0, 1.0), (2, 2.0, 0.7)):
     point = thermo.thermo_point(ModelParams(5.0, 1.0, mu), n, tau)
@@ -120,9 +124,60 @@ def test_matrix_oracles_and_the_bench_checker_never_import_numpy():
     assert _fresh(ORACLES_AND_CHECKER) == [[], False]
 
 
-def test_verify_imports_numpy():
-    code, loaded = _fresh(RUN, "verify", "--cutoff", "2")
-    assert code == 0 and "numpy" in loaded
+# Runs `python -m spinosc *argv` with numpy blocked (`import numpy` raises ImportError) or imported first.
+WITH_NUMPY = """
+import runpy, sys
+if sys.argv.pop(1) == "blocked":
+    sys.modules["numpy"] = None
+else:
+    import numpy
+sys.argv = ["spinosc", *sys.argv[1:]]
+runpy.run_module("spinosc", run_name="__main__", alter_sys=True)
+"""
+
+
+def _output(numpy, *argv):
+    """(exit code, stdout bytes, stderr bytes) of a fresh -S child; numpy is "blocked" or "imported"."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run([sys.executable, "-S", "-c", WITH_NUMPY, numpy, *argv], env=env, capture_output=True,
+                           timeout=120)
+    return child.returncode, child.stdout, child.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--n", "2", "--mu", "1"),
+        ("thermo", "--n", "0", "--mu", "3"),
+        ("sweep", "--subspaces", "0", "3", "--steps", "41"),
+        ("fig", "--id", "3"),
+        ("verify", "--cutoff", "2"),
+        ("verify", "--cutoff", "8"),
+        ("verify", "--cutoff", "127"),
+    ],
+)
+def test_every_command_prints_the_same_bytes_with_numpy_blocked(argv):
+    blocked = _output("blocked", *argv)
+    assert blocked[0] == 0 and blocked[2] == b"", blocked[2]
+    assert blocked == _output("imported", *argv)
+
+
+def test_the_only_numpy_import_in_the_package_is_inside_eigN():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.partition(".")[0] == "numpy" for module in modules):
+                inside = [f.name for f in functions if node in ast.walk(f)]
+                found.append((path.name, inside))
+    assert found == [("smallmat.py", ["eigN"])]
 
 
 def test_importing_the_cli_loads_every_spanned_module_without_numpy(monkeypatch):

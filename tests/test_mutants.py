@@ -38,9 +38,9 @@ class Mutant(NamedTuple):
     failing: frozenset[str]
 
 
-_MU = ("fullspace.py", "+ params.mu * (np.kron(a, sigma_plus)", "+ params.mu * (1 + 1e-9) * (np.kron(a, sigma_plus)")
-_ALPHA = ("fullspace.py", "0.5 * params.alpha * np.kron(eye_osc, sigma_z)",
-          "0.5 * params.alpha * (1 + 1e-9) * np.kron(eye_osc, sigma_z)")
+_MU = ("fullspace.py", "(params.mu, lowering, _SIGMA_PLUS),\n        (-params.mu, raising, _SIGMA_MINUS)",
+       "(params.mu * (1 + 1e-9), lowering, _SIGMA_PLUS),\n        (-params.mu * (1 + 1e-9), raising, _SIGMA_MINUS)")
+_ALPHA = ("fullspace.py", "(0.5 * params.alpha, eye, _SIGMA_Z)", "(0.5 * params.alpha * (1 + 1e-9), eye, _SIGMA_Z)")
 _BLOCK_COUPLING = ("model.py", "(complex(-coupling), complex(-0.5 * params.alpha",
                    "(complex(-coupling * (1 + 1e-9)), complex(-0.5 * params.alpha")
 _DEFAULTS = ("--alpha", "5")
@@ -49,12 +49,17 @@ _DEFAULTS_SCALED = ("--alpha", "4.547473508864641e-12", "--homega", "9.094947017
 
 MUTANTS = {
     # sigma_y's spin swap without its sz_i sz_j signs turns mu into -mu in H_pt; ||H_pt - H|| keeps its norm.
-    "pt-flip-without-signs": Mutant("fullspace.py", "(np.outer(sz, sz) * h[np.ix_(swap, swap)]).conj()",
-                                    "h[np.ix_(swap, swap)].conj()", _DEFAULTS, 4, frozenset({FULL_SPACE})),
+    "pt-flip-without-signs": Mutant("fullspace.py", "(sz[i] * sz[j] * at(i ^ 1, j ^ 1)).conjugate()",
+                                    "at(i ^ 1, j ^ 1).conjugate()", _DEFAULTS, 4, frozenset({FULL_SPACE})),
     # Near resonance mu_c(0) is 5e-6: only a full-space coupling in units of homega sees this one.
     "full-space-mu-near-resonance": Mutant(*_MU, ("--alpha", "1.00001"), 4, frozenset({FULL_SPACE})),
     "full-space-mu": Mutant(*_MU, _DEFAULTS, 4, frozenset({SPECTRUM, FULL_SPACE})),
     "full-space-alpha": Mutant(*_ALPHA, _DEFAULTS, 4, frozenset({SPECTRUM, FULL_SPACE})),
+    # The ladder operator lowers by two levels: its couplings leave the invariant blocks.
+    "lowering-skips-a-level": Mutant("fullspace.py",
+                                     "{(n, n + 1): math.sqrt(n + 1.0) for n in range(levels - 1)}",
+                                     "{(n, n + 2): math.sqrt(n + 1.0) for n in range(levels - 2)}",
+                                     _DEFAULTS, 4, frozenset({SPECTRUM, FULL_SPACE})),
     # A fault in the code under test: the kernel's sqrt of a negative discriminant raises ValueError.
     # It is a verification failure (exit 4), not a usage error (exit 2).
     "phase-rule-levels-plus-one": Mutant("spectral.py", "(n + 1) * 2e-323), n + 1, math.inf",
@@ -69,11 +74,11 @@ MUTANTS = {
     "eta-broken-off": Mutant("metric.py", "off = -sign * abs(params.delta) / d",
                              "off = -sign * abs(params.delta) / d * (1 + 1e-9)",
                              _DEFAULTS, 4, frozenset({METRIC_ROUTES, INTERTWINES})),
-    # eig2's vectors and second eigenvalue reach verify only through the eigenvector metric.
+    # eig2's vectors reach verify only through the eigenvector metric; its eigenvalues through the block check too.
     "eig2-left-vector-at-lambda": Mutant("smallmat.py", "_null_vector(adj, lam.conjugate())", "_null_vector(adj, lam)",
                                          _DEFAULTS, 4, frozenset({METRIC_ROUTES})),
     "eig2-second-eigenvalue": Mutant("smallmat.py", "lam2 = det / lam1", "lam2 = det / lam1 * (1 + 1e-9)",
-                                     _DEFAULTS, 4, frozenset({METRIC_ROUTES})),
+                                     _DEFAULTS, 4, frozenset({METRIC_ROUTES, SPECTRUM})),
     "eig2-second-row-sign": Mutant("smallmat.py", "v2 = (lam - d, c)", "v2 = (lam - d, -c)",
                                    _DEFAULTS, 4, frozenset({METRIC_ROUTES})),
     # The block's lower coupling, at the defaults and at 2**-40 times them, where the sigma-z row reads alike.
@@ -90,10 +95,10 @@ MUTANTS = {
     # expm2 reaches verify only through the trace Z = tr(exp(-H/tau) eta): its cosh term carries all of Z.
     "expm2-cosh-term": Mutant("smallmat.py", "cosh = cmath.cosh(sq)", "cosh = cmath.cosh(sq) * (1 + 1e-9)",
                               _DEFAULTS, 4, frozenset({DUAL_ROUTE})),
-    # A survivor: the sinh term is sinh(s q)/q times the traceless block M, and tr(M eta) = 0 for the
-    # model's metric, so no trace sees it.  Only the tests' series and 50-digit expm oracles do.
+    # The sinh term is sinh(s q)/q times the traceless block M, and tr(M eta) = 0, so Z never sees it:
+    # the dual route's trace tr(exp(-H/tau) eta M) against its closed form does.
     "expm2-sinh-term": Mutant("smallmat.py", "cmath.sinh(sq) / q", "cmath.sinh(sq) / q * (1 + 1e-9)",
-                              _DEFAULTS, 0, frozenset()),
+                              _DEFAULTS, 4, frozenset({DUAL_ROUTE})),
 }
 
 

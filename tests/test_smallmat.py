@@ -293,7 +293,10 @@ def test_eigN_diagonal_pair_multiset():
 
 
 def test_eigN_truncated_hamiltonian_contains_known_values():
-    h = assemble_full(ModelParams(5, 1, 1), 6)
+    sparse = assemble_full(ModelParams(5, 1, 1), 6)
+    h = np.zeros((sparse.dim, sparse.dim), dtype=complex)
+    for (i, j), value in sparse.items():
+        h[i, j] = value
     values = eigN(h)
     for target in (-2.5, 0.5 + np.sqrt(3), 0.5 - np.sqrt(3)):
         assert min(abs(values - target)) < 1e-8
