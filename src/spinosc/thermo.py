@@ -33,7 +33,8 @@ reference for its codes and bits.  The matrix trace itself
 (partition_function) is the oracle the closed forms are validated against
 in the verification suite and the tests; it is 2x2 complex arithmetic with
 no numpy, and it imports the matrix modules (metric, smallmat) only when it
-runs, not when thermo loads.
+runs, not when thermo loads: `import spinosc.thermo` loads model, spectral
+and thermo alone.
 finite_diff_check differentiates the matrix-route ln Z numerically and
 compares it with d lnZ/d tau = U/tau^2 and d2 lnZ/d tau2 derived from the
 kernel's F, S and C_v, so that oracle checks the production S and C_v.

@@ -189,6 +189,23 @@ def test_importing_the_cli_loads_every_spanned_module_without_numpy(monkeypatch)
     assert loaded == []
 
 
+# Imports one module, then lists the spinosc submodules loaded.
+IMPORT_ONLY = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("spinosc."))))
+"""
+
+
+def test_importing_the_package_loads_no_submodule():
+    # The exports resolve on first use (the package's __getattr__), so a bare import runs only __init__.
+    assert _fresh(IMPORT_ONLY, "spinosc") == []
+
+
+def test_importing_the_sweep_loads_the_production_path_and_no_oracle():
+    assert _fresh(IMPORT_ONLY, "spinosc.sweep") == [f"spinosc.{name}" for name in sorted(PRODUCTION)]
+
+
 def _module_level_imports(tree):
     """The spinosc modules a module imports when it loads: every import outside a def or class body."""
     pending, names = list(tree.body), set()
