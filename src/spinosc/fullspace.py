@@ -2,7 +2,7 @@
 
 Oscillator levels 0..cutoff are retained; the basis interleaves spin inside
 level, index = 2*n + (0 for spin up, 1 for spin down), i.e.
-|0,+>, |0,->, |1,+>, |1,->, ...  H is a sparse map from (row, column) to its
+|0,+>, |0,->, |1,+>, |1,->, ...  H is a dict from (row, column) to its
 nonzero entries, assembled from the ladder and spin operators as Kronecker
 products osc (x) spin in that order.  The symmetry residuals act on its
 entries: sigma_z and the Fock parity are the sign lists (1, -1, 1, -1, ...)
@@ -25,7 +25,7 @@ from numbers import Integral
 from typing import NamedTuple
 
 from .model import ModelParams
-from .smallmat import DefectiveMatrix, eig2
+from .smallmat import DefectiveMatrix, eig2, frobenius
 from .spectral import block_spectrum
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "block_decomposition_check",
     "symmetry_report",
     "BlockCheck",
-    "SparseMatrix",
     "SymmetryReport",
 ]
 
@@ -43,16 +42,6 @@ _SIGMA_Z = {(0, 0): 1.0, (1, 1): -1.0}
 _SIGMA_X = {(0, 1): 1.0, (1, 0): 1.0}
 _SIGMA_PLUS = {(0, 1): 1.0}
 _SIGMA_MINUS = {(1, 0): 1.0}
-
-
-class SparseMatrix(dict):
-    """The nonzero entries of a dim x dim complex matrix, keyed by (row, column)."""
-
-    __slots__ = ("dim",)
-
-    def __init__(self, dim: int):
-        super().__init__()
-        self.dim = dim
 
 
 def _check_cutoff(cutoff: int) -> int:
@@ -69,9 +58,9 @@ def _lowering(levels: int) -> dict:
     return {(n, n + 1): math.sqrt(n + 1.0) for n in range(levels - 1)}
 
 
-def _kron_sum(levels: int, terms) -> SparseMatrix:
+def _kron_sum(terms) -> dict:
     """The sum of scale * (osc (x) spin) over terms (scale, osc, spin), with its zero entries dropped."""
-    total = SparseMatrix(2 * levels)
+    total = {}
     for scale, osc, spin in terms:
         for (i, j), x in osc.items():
             for (k, m), y in spin.items():
@@ -82,14 +71,14 @@ def _kron_sum(levels: int, terms) -> SparseMatrix:
     return total
 
 
-def assemble_full(params: ModelParams, cutoff: int) -> SparseMatrix:
+def assemble_full(params: ModelParams, cutoff: int) -> dict:
     """(alpha/2) sigma_z + homega a^dag a + mu (sigma_+ a - sigma_- a^dag) on oscillator levels 0..cutoff."""
     levels = _check_cutoff(cutoff) + 1
     lowering = _lowering(levels)
     raising = {(j, i): x for (i, j), x in lowering.items()}  # a^dag: a is real
     number = {(j, j): x * x for (_, j), x in lowering.items()}  # a^dag a: a has one entry per column
     eye = {(n, n): 1.0 for n in range(levels)}
-    return _kron_sum(levels, [
+    return _kron_sum([
         (0.5 * params.alpha, eye, _SIGMA_Z),
         (params.homega, number, _SPIN_EYE),
         (params.mu, lowering, _SIGMA_PLUS),
@@ -114,22 +103,17 @@ class SymmetryReport(NamedTuple):
     h_norm: float
 
 
-def _pt_closed(params: ModelParams, levels: int) -> SparseMatrix:
+def _pt_closed(params: ModelParams, levels: int) -> dict:
     """H_pt - H as the model states it, -alpha sigma_z + mu sigma_x (a^dag - a)."""
     lowering = _lowering(levels)
     difference = {**{(j, i): x for (i, j), x in lowering.items()}, **{key: -x for key, x in lowering.items()}}
     eye = {(n, n): 1.0 for n in range(levels)}
-    return _kron_sum(levels, [(-params.alpha, eye, _SIGMA_Z), (params.mu, difference, _SIGMA_X)])
-
-
-def _norm(entries) -> float:
-    """Frobenius norm by math.hypot, as smallmat.frobenius takes it: no entry is squared."""
-    return math.hypot(*(abs(x) for x in entries))
+    return _kron_sum([(-params.alpha, eye, _SIGMA_Z), (params.mu, difference, _SIGMA_X)])
 
 
 def symmetry_report(params: ModelParams, cutoff: int) -> SymmetryReport:
     h = assemble_full(params, cutoff)
-    levels = h.dim // 2
+    levels = cutoff + 1
     closed = _pt_closed(params, levels)
     # Conjugation by a sign list v scales entry (i, j) by v_i v_j; the commutator with the grading
     # g = P sigma_z scales it by g_j - g_i.  sigma_y on every level swaps i <-> i ^ 1 with signs sz_i sz_j.
@@ -144,13 +128,13 @@ def symmetry_report(params: ModelParams, cutoff: int) -> SymmetryReport:
         return h.get((i, j), 0j)
 
     return SymmetryReport(
-        commutator_residual=_norm(at(i, j) * (grading[j] - grading[i]) for i, j in keys),
-        sigma_z_residual=_norm(sz[i] * sz[j] * at(i, j) - at(j, i).conjugate() for i, j in keys),
-        parity_residual=_norm(parity[i] * parity[j] * at(i, j) - at(j, i).conjugate() for i, j in keys),
-        pt_residual=_norm(
+        commutator_residual=frobenius(at(i, j) * (grading[j] - grading[i]) for i, j in keys),
+        sigma_z_residual=frobenius(sz[i] * sz[j] * at(i, j) - at(j, i).conjugate() for i, j in keys),
+        parity_residual=frobenius(parity[i] * parity[j] * at(i, j) - at(j, i).conjugate() for i, j in keys),
+        pt_residual=frobenius(
             (sz[i] * sz[j] * at(i ^ 1, j ^ 1)).conjugate() - at(i, j) - closed.get((i, j), 0j) for i, j in keys
         ),
-        h_norm=_norm(at(i, j) for i, j in keys),
+        h_norm=frobenius(at(i, j) for i, j in keys),
     )
 
 

@@ -87,7 +87,7 @@ def _traceless_block(params: ModelParams, n: int) -> Block:
 
 
 def _unit(vector: tuple[complex, complex]) -> tuple[complex, complex]:
-    norm = math.hypot(*map(abs, vector))
+    norm = frobenius(vector)
     return (vector[0] / norm, vector[1] / norm)
 
 
@@ -124,8 +124,6 @@ def verify_metric(params: ModelParams, n: int) -> MetricDiagnostics:
     h = build_block(params, n)
     det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
     # eta H - H^dagger eta, entry by entry: (H^dagger)_ik = conj(H_ki).
-    residual = [
-        [sum(g[i][k] * h[k][j] for k in (0, 1)) - sum(h[k][i].conjugate() * g[k][j] for k in (0, 1)) for j in (0, 1)]
-        for i in (0, 1)
-    ]
+    residual = [sum(g[i][k] * h[k][j] for k in (0, 1)) - sum(h[k][i].conjugate() * g[k][j] for k in (0, 1))
+                for i in (0, 1) for j in (0, 1)]
     return MetricDiagnostics(abs(det - 1.0), g[0][0] + g[1][1] > 0.0 and det > 0.0, frobenius(residual))

@@ -50,9 +50,9 @@ class Eigenpair2(NamedTuple):
 Block = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
-def frobenius(m) -> float:
-    """Frobenius norm of a 2x2 nested sequence by math.hypot: no entry is squared, and a NaN entry gives NaN."""
-    return math.hypot(*(abs(x) for row in m for x in row))
+def frobenius(entries) -> float:
+    """Frobenius norm of a matrix's entries, in any order, by math.hypot: no entry is squared, and a NaN gives NaN."""
+    return math.hypot(*map(abs, entries))
 
 
 def _as_block(m) -> Block:
@@ -72,7 +72,7 @@ def _null_vector(m: Block, lam: complex) -> tuple[complex, complex]:
     (a, b), (c, d) = m
     v1 = (b, lam - a)
     v2 = (lam - d, c)
-    return v1 if math.hypot(*map(abs, v1)) >= math.hypot(*map(abs, v2)) else v2
+    return v1 if frobenius(v1) >= frobenius(v2) else v2
 
 
 def eig2(m) -> tuple[Eigenpair2, Eigenpair2]:

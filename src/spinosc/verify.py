@@ -123,7 +123,9 @@ def run_checks(alpha: float = 5.0, homega: float = 1.0, cutoff: int = 8) -> list
         diag = verify_metric(params, n)
         if not (diag.positive_definite and diag.det_error < 1e-10):
             raise ArithmeticError(f"the closed metric is not positive definite with unit determinant: {diag}")
-        return diag.intertwining_residual / frobenius(build_block(params, n)) if unbroken else None
+        if not unbroken:
+            return None
+        return diag.intertwining_residual / frobenius(x for row in build_block(params, n) for x in row)
 
     def dual_route(n, mu, tau):
         params = ModelParams(alpha, homega, mu)

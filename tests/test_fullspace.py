@@ -11,9 +11,9 @@ from spinosc.spectral import block_spectrum, critical_coupling
 FIG = dict(alpha=5.0, homega=1.0)
 
 
-def _dense(h):
-    # The sparse map as a dense numpy matrix.
-    m = np.zeros((h.dim, h.dim), dtype=complex)
+def _dense(h, cutoff):
+    # The dict of nonzero entries as a dense numpy matrix on oscillator levels 0..cutoff.
+    m = np.zeros((2 * (cutoff + 1), 2 * (cutoff + 1)), dtype=complex)
     for (i, j), value in h.items():
         m[i, j] = value
     return m
@@ -31,7 +31,8 @@ def _grading(index: int) -> float:
 
 def test_space_validation_and_dim():
     h = assemble_full(ModelParams(5, 1, 1), 4)
-    assert h.dim == 10 and all(0 <= i < 10 and 0 <= j < 10 for i, j in h)
+    # A plain dict on a space of dimension 2 * (4 + 1): |4,-> at index 9 has the entry -2.5 + 4.
+    assert type(h) is dict and min(map(min, h)) == 0 and max(map(max, h)) == 9
     with pytest.raises(ValueError, match="cutoff must be >= 1, got 0"):
         assemble_full(ModelParams(5, 1, 1), 0)
     for cutoff in (2.5, True):
@@ -42,7 +43,7 @@ def test_space_validation_and_dim():
 def test_assemble_diagonal_limit():
     h = assemble_full(ModelParams(5, 1, 0), 2)
     expected = np.diag([2.5, -2.5, 3.5, -1.5, 4.5, -0.5])
-    assert np.allclose(_dense(h), expected, rtol=0, atol=1e-15)
+    assert np.allclose(_dense(h, 2), expected, rtol=0, atol=1e-15)
 
 
 def test_assemble_keeps_only_nonzero_entries():
@@ -55,13 +56,13 @@ def test_assemble_keeps_only_nonzero_entries():
 def test_assemble_embeds_first_block():
     h = assemble_full(ModelParams(5, 1, 1), 3)
     # (|0,+>, |1,->) live at indices (0, 3).
-    sub = _dense(h)[np.ix_([0, 3], [0, 3])]
+    sub = _dense(h, 3)[np.ix_([0, 3], [0, 3])]
     assert np.allclose(sub, [[2.5, 1.0], [-1.0, -1.5]], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("mu", [0.0, 1.0, 3.0])
 def test_ground_state_row_is_decoupled(mu):
-    h = _dense(assemble_full(ModelParams(**FIG, mu=mu), 4))
+    h = _dense(assemble_full(ModelParams(**FIG, mu=mu), 4), 4)
     row = h[1, :].copy()  # |0,->
     col = h[:, 1].copy()
     row[1] = col[1] = 0.0
@@ -139,7 +140,7 @@ def test_symmetry_report_hermitian_limit_raw_numbers():
     assert report.parity_residual < 1e-12 * report.h_norm
     # The time-reversal image still flips the splitting term: H_pt - H = -alpha sigma_z at mu = 0.
     assert report.pt_residual < 1e-12 * report.h_norm
-    h = _dense(assemble_full(ModelParams(5, 1, 0), 5))
+    h = _dense(assemble_full(ModelParams(5, 1, 0), 5), 5)
     assert np.linalg.norm(_dense_pt_image(h) - h) == pytest.approx(5.0 * math.sqrt(12), rel=1e-15)
 
 
@@ -168,7 +169,7 @@ def _norm(m):
 
 def _dense_symmetry_report(params, cutoff):
     # Reference: sigma_z, the Fock parity and the PT flip as dense 2L x 2L products.
-    h = _dense(assemble_full(params, cutoff))
+    h = _dense(assemble_full(params, cutoff), cutoff)
     h_dag = h.conj().T
     levels = h.shape[0] // 2
     sz = np.kron(np.eye(levels), np.diag([1.0, -1.0])).astype(complex)
@@ -222,7 +223,7 @@ def test_dense_eigenvalues_match_the_union_of_the_blocks(cutoff, fraction):
     # ground state and every block's closed-form pair, within verify's bound of the spectral radius.
     params = ModelParams(**FIG, mu=fraction * critical_coupling(ModelParams(**FIG, mu=0.0), 0))
     keep = [i for i in range(2 * (cutoff + 1)) if i != 2 * cutoff]
-    remaining = np.linalg.eigvals(_dense(assemble_full(params, cutoff))[np.ix_(keep, keep)]).tolist()
+    remaining = np.linalg.eigvals(_dense(assemble_full(params, cutoff), cutoff)[np.ix_(keep, keep)]).tolist()
     expected = [complex(-0.5 * params.alpha)]
     for n in range(cutoff):
         expected.extend(block_spectrum(params, n)[:2])

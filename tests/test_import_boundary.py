@@ -102,7 +102,7 @@ for mu, n in ((1.0, 0), (3.0, 0), (0.5, 4)):
     model.sigma_z_residual(params, n)
     smallmat.eig2(block)
     smallmat.expm2(block, -1.0)
-    smallmat.frobenius(block)
+    smallmat.frobenius(x for row in block for x in row)
     verify._max_abs(x for row in block for x in row)
     metric.eta(params, n)
     metric.eta_from_vectors(params, n)
@@ -178,6 +178,18 @@ def test_the_only_numpy_import_in_the_package_is_inside_eigN():
                 inside = [f.name for f in functions if node in ast.walk(f)]
                 found.append((path.name, inside))
     assert found == [("smallmat.py", ["eigN"])]
+
+
+def test_math_hypot_is_called_only_in_the_two_frobenius_norms():
+    # The oracle modules share smallmat.frobenius; model keeps its own, since the production path loads no smallmat.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if getattr(node, "attr", None) == "hypot" or getattr(node, "id", None) == "hypot":  # math.hypot, hypot
+                found.append((path.name, [f.name for f in functions if node in ast.walk(f)]))
+    assert sorted(found) == [("model.py", ["sigma_z_residual"]), ("smallmat.py", ["frobenius"])]
 
 
 def test_importing_the_cli_loads_every_spanned_module_without_numpy(monkeypatch):

@@ -4,8 +4,9 @@ Each case edits one exact source text in a copy of the package under
 tmp_path (the package under test is never edited), runs
 `python -m spinosc ARGV verify --cutoff 8` on the copy in a child,
 and asserts its kill: the exit code and the set of checks that FAIL.  A
-change that lets a mutant survive, or changes which checks see it, fails
-here; the table is the record of what each check is for.
+recorded survivor asserts exit 0 and no FAIL.  A change that lets a mutant
+survive, kills a recorded survivor, or changes which checks see a mutant,
+fails here; the table is the record of what each check is for.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ FULL_SPACE = "full-space symmetries and PT image (grading, sigma-z, parity, H_pt
 METRIC_ROUTES = "metric routes agree (eigenvectors vs closed)"
 INTERTWINES = "metric intertwines block (unbroken)"
 DUAL_ROUTE = "partition function dual route"
+COALESCENCE = "coalescence location (exact discriminant sign vs closed)"
+STENCIL = "log-derivative finite differences"
 
 
 class Mutant(NamedTuple):
@@ -99,6 +102,27 @@ MUTANTS = {
     # the dual route's trace tr(exp(-H/tau) eta M) against its closed form does.
     "expm2-sinh-term": Mutant("smallmat.py", "cmath.sinh(sq) / q", "cmath.sinh(sq) / q * (1 + 1e-9)",
                               _DEFAULTS, 4, frozenset({DUAL_ROUTE})),
+    # mu_c with sqrt(n + 2): the exact discriminant's sign sees the moved root.  The stencil row's kill is
+    # incidental: its n = 0 point at 1.25 mu_c lands at 0.88 of the true mu_c, where the step's relative
+    # error on correct values is 6.2e-6.
+    "critical-coupling-sqrt-n-plus-2": Mutant("spectral.py", "abs(params.delta) / (2.0 * math.sqrt(n + 1.0))",
+                                              "abs(params.delta) / (2.0 * math.sqrt(n + 2.0))", _DEFAULTS, 4,
+                                              frozenset({COALESCENCE, STENCIL})),
+    # Recorded survivors: verify passes these wrong printed values (exit 0, no FAIL row).  Only the
+    # finite-difference row reads the kernel's F, S and C_v, through derivatives of ln Z taken by a
+    # step and held to a relative 1e-6, and these errors lie under it.  A high-precision reference
+    # for S, F and C_v (the ROADMAP's 60-digit stdlib reference) must turn each into a kill.
+    "kernel-unbroken-s": Mutant("thermo.py", "s = log(prefactor) + log(c) - x * tanh(x)",
+                                "s = (log(prefactor) + log(c) - x * tanh(x)) * (1 + 1e-7)", _DEFAULTS, 0, frozenset()),
+    "kernel-broken-s": Mutant("thermo.py", "s = log(prefactor) + log(c) + x * t",
+                              "s = (log(prefactor) + log(c) + x * t) * (1 + 1e-7)", _DEFAULTS, 0, frozenset()),
+    "kernel-unbroken-cv": Mutant("thermo.py", "cv = x * x / (c * c)\n", "cv = x * x / (c * c) * (1 + 1e-6)\n",
+                                 _DEFAULTS, 0, frozenset()),
+    "kernel-broken-cv": Mutant("thermo.py", "cv = x * x * (-1.0 - t * t)", "cv = x * x * (-1.0 - t * t) * (1 + 1e-6)",
+                               _DEFAULTS, 0, frozenset()),
+    "kernel-unbroken-f": Mutant("thermo.py", "f = neg_tau * log(z)\n            s = log(prefactor) + log(c) - x",
+                                "f = neg_tau * log(z) * (1 + 1e-9)\n            s = log(prefactor) + log(c) - x",
+                                _DEFAULTS, 0, frozenset()),
 }
 
 

@@ -294,7 +294,7 @@ def test_eigN_diagonal_pair_multiset():
 
 def test_eigN_truncated_hamiltonian_contains_known_values():
     sparse = assemble_full(ModelParams(5, 1, 1), 6)
-    h = np.zeros((sparse.dim, sparse.dim), dtype=complex)
+    h = np.zeros((14, 14), dtype=complex)  # levels 0..6, two spins each
     for (i, j), value in sparse.items():
         h[i, j] = value
     values = eigN(h)
